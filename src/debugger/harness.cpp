@@ -49,99 +49,77 @@ WiredSystem wire(const Topology& user_topology, std::vector<ProcessPtr> users,
 
 }  // namespace
 
-SimDebugHarness::SimDebugHarness(const Topology& user_topology,
-                                 std::vector<ProcessPtr> users,
-                                 HarnessConfig config) {
-  replay_ = config.replay;
+template <typename Substrate, typename Host>
+template <typename SubstrateConfig>
+DebugHarness<Substrate, Host>::DebugHarness(const Topology& user_topology,
+                                            std::vector<ProcessPtr> users,
+                                            HarnessConfig& config,
+                                            SubstrateConfig substrate_config)
+    : replay_(config.replay) {
   WiredSystem wired = wire(user_topology, std::move(users),
                            config.debugger_fanout,
                            std::move(config.shim_options), armed_count_,
                            replay_.get());
   debugger_ = wired.debugger;
   debugger_id_ = wired.topology.debugger_id();
+  substrate_ = std::make_unique<Substrate>(std::move(wired.topology),
+                                           std::move(wired.processes),
+                                           std::move(substrate_config));
+  host_ = std::make_unique<Host>(*substrate_);
+  session_ =
+      std::make_unique<DebuggerSession>(*host_, *debugger_, debugger_id_);
+}
 
+namespace {
+
+SimulationConfig sim_config(HarnessConfig& config) {
   SimulationConfig sim_config;
   sim_config.seed = config.seed;
   sim_config.latency = std::move(config.latency);
   sim_config.faults = std::move(config.faults);
   sim_config.reliable = config.reliable;
   sim_config.workers = config.workers;
-  sim_ = std::make_unique<Simulation>(std::move(wired.topology),
-                                      std::move(wired.processes),
-                                      std::move(sim_config));
-  host_ = std::make_unique<SimHost>(*sim_);
-  session_ =
-      std::make_unique<DebuggerSession>(*host_, *debugger_, debugger_id_);
+  return sim_config;
 }
 
-DebugShim& SimDebugHarness::shim(ProcessId p) {
-  auto* shim = dynamic_cast<DebugShim*>(&sim_->process(p));
-  DDBG_ASSERT(shim != nullptr, "process is not wrapped in a DebugShim");
-  return *shim;
-}
-
-RuntimeDebugHarness::RuntimeDebugHarness(const Topology& user_topology,
-                                         std::vector<ProcessPtr> users,
-                                         HarnessConfig config) {
-  replay_ = config.replay;
-  WiredSystem wired = wire(user_topology, std::move(users),
-                           config.debugger_fanout,
-                           std::move(config.shim_options), armed_count_,
-                           replay_.get());
-  debugger_ = wired.debugger;
-  debugger_id_ = wired.topology.debugger_id();
-
+RuntimeConfig runtime_config(HarnessConfig& config) {
   RuntimeConfig runtime_config;
   runtime_config.seed = config.seed;
   runtime_config.faults = std::move(config.faults);
   runtime_config.reliable = config.reliable;
-  runtime_config.replay = replay_;
-  runtime_ = std::make_unique<Runtime>(std::move(wired.topology),
-                                       std::move(wired.processes),
-                                       runtime_config);
-  host_ = std::make_unique<RuntimeHost>(*runtime_);
-  session_ =
-      std::make_unique<DebuggerSession>(*host_, *debugger_, debugger_id_);
+  runtime_config.replay = config.replay;
+  return runtime_config;
 }
 
-RuntimeDebugHarness::~RuntimeDebugHarness() { shutdown(); }
-
-DebugShim& RuntimeDebugHarness::shim(ProcessId p) {
-  auto* shim = dynamic_cast<DebugShim*>(&runtime_->process(p));
-  DDBG_ASSERT(shim != nullptr, "process is not wrapped in a DebugShim");
-  return *shim;
-}
-
-TcpDebugHarness::TcpDebugHarness(const Topology& user_topology,
-                                 std::vector<ProcessPtr> users,
-                                 HarnessConfig config) {
-  replay_ = config.replay;
-  WiredSystem wired = wire(user_topology, std::move(users),
-                           config.debugger_fanout,
-                           std::move(config.shim_options), armed_count_,
-                           replay_.get());
-  debugger_ = wired.debugger;
-  debugger_id_ = wired.topology.debugger_id();
-
+TcpRuntimeConfig tcp_config(HarnessConfig& config) {
   TcpRuntimeConfig tcp_config;
   tcp_config.seed = config.seed;
   tcp_config.faults = std::move(config.faults);
   tcp_config.reliable = config.reliable;
-  tcp_config.replay = replay_;
-  tcp_ = std::make_unique<TcpRuntime>(std::move(wired.topology),
-                                      std::move(wired.processes),
-                                      tcp_config);
-  host_ = std::make_unique<TcpHost>(*tcp_);
-  session_ =
-      std::make_unique<DebuggerSession>(*host_, *debugger_, debugger_id_);
+  tcp_config.replay = config.replay;
+  return tcp_config;
 }
 
-TcpDebugHarness::~TcpDebugHarness() { shutdown(); }
+}  // namespace
 
-DebugShim& TcpDebugHarness::shim(ProcessId p) {
-  auto* shim = dynamic_cast<DebugShim*>(&tcp_->process(p));
-  DDBG_ASSERT(shim != nullptr, "process is not wrapped in a DebugShim");
-  return *shim;
-}
+// The base reads only debugger_fanout, shim_options and replay, none of
+// which the config builders move from, so argument order cannot matter.
+SimDebugHarness::SimDebugHarness(const Topology& user_topology,
+                                 std::vector<ProcessPtr> users,
+                                 HarnessConfig config)
+    : DebugHarness(user_topology, std::move(users), config,
+                   sim_config(config)) {}
+
+RuntimeDebugHarness::RuntimeDebugHarness(const Topology& user_topology,
+                                         std::vector<ProcessPtr> users,
+                                         HarnessConfig config)
+    : DebugHarness(user_topology, std::move(users), config,
+                   runtime_config(config)) {}
+
+TcpDebugHarness::TcpDebugHarness(const Topology& user_topology,
+                                 std::vector<ProcessPtr> users,
+                                 HarnessConfig config)
+    : DebugHarness(user_topology, std::move(users), config,
+                   tcp_config(config)) {}
 
 }  // namespace ddbg

@@ -1,5 +1,5 @@
 // Hosts and harnesses: one-call wiring of (topology, user processes) into a
-// debuggable system on either substrate.
+// debuggable system on any substrate.
 //
 //   SimDebugHarness harness(Topology::ring(4), make_ring_processes(...));
 //   harness.session().set_breakpoint("p0:event(token)");
@@ -41,9 +41,12 @@ class SimHost final : public SessionHost {
   Simulation& sim_;
 };
 
-class RuntimeHost final : public SessionHost {
+// Session adapter for the threaded substrates (Runtime, TcpRuntime): posts
+// cross to the target process's thread, waits sleep-poll on the caller's.
+template <typename Substrate>
+class ThreadedHost final : public SessionHost {
  public:
-  explicit RuntimeHost(Runtime& runtime) : runtime_(runtime) {}
+  explicit ThreadedHost(Substrate& runtime) : runtime_(runtime) {}
 
   void post(ProcessId target,
             std::function<void(ProcessContext&, Process&)> action) override {
@@ -52,30 +55,15 @@ class RuntimeHost final : public SessionHost {
 
   bool wait(const std::function<bool()>& condition,
             Duration timeout) override {
-    return Runtime::wait_until(condition, timeout);
+    return Substrate::wait_until(condition, timeout);
   }
 
  private:
-  Runtime& runtime_;
+  Substrate& runtime_;
 };
 
-class TcpHost final : public SessionHost {
- public:
-  explicit TcpHost(TcpRuntime& runtime) : runtime_(runtime) {}
-
-  void post(ProcessId target,
-            std::function<void(ProcessContext&, Process&)> action) override {
-    runtime_.post(target, std::move(action));
-  }
-
-  bool wait(const std::function<bool()>& condition,
-            Duration timeout) override {
-    return TcpRuntime::wait_until(condition, timeout);
-  }
-
- private:
-  TcpRuntime& runtime_;
-};
+using RuntimeHost = ThreadedHost<Runtime>;
+using TcpHost = ThreadedHost<TcpRuntime>;
 
 struct HarnessConfig {
   std::uint64_t seed = 1;
@@ -99,53 +87,29 @@ struct HarnessConfig {
   std::shared_ptr<ReplaySink> replay;
 };
 
-// Deterministic-simulator harness.
-class SimDebugHarness {
+// The body every harness shares: the debugger wired into the user
+// topology (section 2.2.3), every user process wrapped in a DebugShim,
+// the substrate built from the result, and a DebuggerSession bound to the
+// substrate's host.  Each harness below only turns HarnessConfig into its
+// substrate's config.
+template <typename Substrate, typename Host>
+class DebugHarness {
  public:
-  SimDebugHarness(const Topology& user_topology,
-                  std::vector<ProcessPtr> users, HarnessConfig config = {});
+  DebugHarness(const DebugHarness&) = delete;
+  DebugHarness& operator=(const DebugHarness&) = delete;
 
-  [[nodiscard]] Simulation& sim() { return *sim_; }
   [[nodiscard]] DebuggerSession& session() { return *session_; }
   [[nodiscard]] DebuggerProcess& debugger() { return *debugger_; }
   [[nodiscard]] const Topology& topology() const {
-    return sim_->topology();
+    return substrate_->topology();
   }
   [[nodiscard]] ProcessId debugger_id() const { return debugger_id_; }
   // The shim wrapping user process p.
-  [[nodiscard]] DebugShim& shim(ProcessId p);
-  // Breakpoint watches armed across all shims so far.
-  [[nodiscard]] std::size_t armed_count() const {
-    return armed_count_->load(std::memory_order_acquire);
+  [[nodiscard]] DebugShim& shim(ProcessId p) {
+    auto* shim = dynamic_cast<DebugShim*>(&substrate_->process(p));
+    DDBG_ASSERT(shim != nullptr, "process is not wrapped in a DebugShim");
+    return *shim;
   }
-
- private:
-  std::shared_ptr<std::atomic<std::size_t>> armed_count_ =
-      std::make_shared<std::atomic<std::size_t>>(0);
-  std::shared_ptr<ReplaySink> replay_;  // keeps the recorder alive
-  std::unique_ptr<Simulation> sim_;
-  DebuggerProcess* debugger_ = nullptr;  // owned by sim_
-  ProcessId debugger_id_;
-  std::unique_ptr<SimHost> host_;
-  std::unique_ptr<DebuggerSession> session_;
-};
-
-// Multithreaded-runtime harness.
-class RuntimeDebugHarness {
- public:
-  RuntimeDebugHarness(const Topology& user_topology,
-                      std::vector<ProcessPtr> users,
-                      HarnessConfig config = {});
-  ~RuntimeDebugHarness();
-
-  void start() { runtime_->start(); }
-  void shutdown() { runtime_->shutdown(); }
-
-  [[nodiscard]] Runtime& runtime() { return *runtime_; }
-  [[nodiscard]] DebuggerSession& session() { return *session_; }
-  [[nodiscard]] DebuggerProcess& debugger() { return *debugger_; }
-  [[nodiscard]] ProcessId debugger_id() const { return debugger_id_; }
-  [[nodiscard]] DebugShim& shim(ProcessId p);
   // Breakpoint watches armed across all shims so far.  Arming is
   // asynchronous (arm commands travel as control messages), so a test that
   // needs a breakpoint live before it lets traffic flow waits on this
@@ -154,59 +118,64 @@ class RuntimeDebugHarness {
     return armed_count_->load(std::memory_order_acquire);
   }
   [[nodiscard]] bool wait_for_armed(std::size_t watches, Duration timeout) {
-    return Runtime::wait_until(
-        [this, watches] { return armed_count() >= watches; }, timeout);
+    return host_->wait([this, watches] { return armed_count() >= watches; },
+                       timeout);
   }
 
- private:
+ protected:
+  // Defined in harness.cpp, the only place the harnesses are built.
+  template <typename SubstrateConfig>
+  DebugHarness(const Topology& user_topology, std::vector<ProcessPtr> users,
+               HarnessConfig& config, SubstrateConfig substrate_config);
+  ~DebugHarness() = default;
+
   std::shared_ptr<std::atomic<std::size_t>> armed_count_ =
       std::make_shared<std::atomic<std::size_t>>(0);
   std::shared_ptr<ReplaySink> replay_;  // keeps the recorder alive
-  std::unique_ptr<Runtime> runtime_;
-  DebuggerProcess* debugger_ = nullptr;  // owned by runtime_
+  std::unique_ptr<Substrate> substrate_;
+  DebuggerProcess* debugger_ = nullptr;  // owned by substrate_
   ProcessId debugger_id_;
-  std::unique_ptr<RuntimeHost> host_;
+  std::unique_ptr<Host> host_;
   std::unique_ptr<DebuggerSession> session_;
+};
+
+// Deterministic-simulator harness.
+class SimDebugHarness : public DebugHarness<Simulation, SimHost> {
+ public:
+  SimDebugHarness(const Topology& user_topology,
+                  std::vector<ProcessPtr> users, HarnessConfig config = {});
+
+  [[nodiscard]] Simulation& sim() { return *substrate_; }
+};
+
+// Multithreaded-runtime harness.
+class RuntimeDebugHarness : public DebugHarness<Runtime, RuntimeHost> {
+ public:
+  RuntimeDebugHarness(const Topology& user_topology,
+                      std::vector<ProcessPtr> users,
+                      HarnessConfig config = {});
+  ~RuntimeDebugHarness() { shutdown(); }
+
+  void start() { substrate_->start(); }
+  void shutdown() { substrate_->shutdown(); }
+
+  [[nodiscard]] Runtime& runtime() { return *substrate_; }
 };
 
 // TCP-loopback harness: the same wiring crossing real sockets.  With a
 // debugger tier, every convergecast hop is a multiplexed TCP frame, so
 // halt/breakpoint/resume tests at moderate N exercise the epoll reactor
 // under genuine kernel backpressure.
-class TcpDebugHarness {
+class TcpDebugHarness : public DebugHarness<TcpRuntime, TcpHost> {
  public:
   TcpDebugHarness(const Topology& user_topology,
                   std::vector<ProcessPtr> users, HarnessConfig config = {});
-  ~TcpDebugHarness();
+  ~TcpDebugHarness() { shutdown(); }
 
-  [[nodiscard]] bool start() { return tcp_->start(); }
-  void shutdown() { tcp_->shutdown(); }
+  [[nodiscard]] bool start() { return substrate_->start(); }
+  void shutdown() { substrate_->shutdown(); }
 
-  [[nodiscard]] TcpRuntime& tcp() { return *tcp_; }
-  [[nodiscard]] DebuggerSession& session() { return *session_; }
-  [[nodiscard]] DebuggerProcess& debugger() { return *debugger_; }
-  [[nodiscard]] const Topology& topology() const {
-    return tcp_->topology();
-  }
-  [[nodiscard]] ProcessId debugger_id() const { return debugger_id_; }
-  [[nodiscard]] DebugShim& shim(ProcessId p);
-  [[nodiscard]] std::size_t armed_count() const {
-    return armed_count_->load(std::memory_order_acquire);
-  }
-  [[nodiscard]] bool wait_for_armed(std::size_t watches, Duration timeout) {
-    return TcpRuntime::wait_until(
-        [this, watches] { return armed_count() >= watches; }, timeout);
-  }
-
- private:
-  std::shared_ptr<std::atomic<std::size_t>> armed_count_ =
-      std::make_shared<std::atomic<std::size_t>>(0);
-  std::shared_ptr<ReplaySink> replay_;  // keeps the recorder alive
-  std::unique_ptr<TcpRuntime> tcp_;
-  DebuggerProcess* debugger_ = nullptr;  // owned by tcp_
-  ProcessId debugger_id_;
-  std::unique_ptr<TcpHost> host_;
-  std::unique_ptr<DebuggerSession> session_;
+  [[nodiscard]] TcpRuntime& tcp() { return *substrate_; }
 };
 
 }  // namespace ddbg

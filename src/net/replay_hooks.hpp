@@ -61,8 +61,9 @@ class ReplaySink {
   virtual void record_halt_cut(std::uint64_t wave, Bytes encoded_state) = 0;
 
   // Transport-level nondeterminism that replay re-derives: a fault draw
-  // (kind 0..5), a reconnect (6) or a resync replay (7) on `channel`;
-  // `detail` carries the attempt index / frames replayed.
+  // (kind 0..5), a reconnect (6) or a resync replay (7) on `channel`,
+  // always a channel id; `detail` carries the attempt index / 0 / frames
+  // replayed.  net/reliable_link emits all of them.
   virtual void record_annotation(std::uint8_t kind, ChannelId channel,
                                  std::uint64_t detail) = 0;
 };

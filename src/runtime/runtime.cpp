@@ -4,32 +4,22 @@
 #include <deque>
 #include <future>
 #include <map>
-#include <unordered_map>
 #include <utility>
 
 #include "common/buffer_pool.hpp"
 #include "common/logging.hpp"
 #include "common/serialization.hpp"
+#include "runtime/worker.hpp"
 
 namespace ddbg {
 
 namespace {
 using SteadyClock = std::chrono::steady_clock;
-
-// Replay-log annotation for transport-level nondeterminism (fault draws,
-// reconnects, resyncs).  Diagnostic provenance only — the null check keeps
-// unrecorded runs untouched.
-void annotate(const std::shared_ptr<ReplaySink>& sink, std::uint8_t kind,
-              ChannelId channel, std::uint64_t detail) {
-  if (sink != nullptr) sink->record_annotation(kind, channel, detail);
-}
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Worker: one process, its inbox, its timers and its thread.
 // ---------------------------------------------------------------------------
-
-class ThreadProcessContext;
 
 class Runtime::Worker {
  public:
@@ -44,17 +34,13 @@ class Runtime::Worker {
   void push_closure(std::function<void(ProcessContext&, Process&)> action);
 
   // ---- reliability layer (runtime_.config_.faults only) ----
-  // Sender-side state (rel_send_, attempt counters, retry arming) is owned
-  // by this worker's thread: do_send runs on it, acks and internal
-  // deadlines are dispatched on it.  Receiver-side state (rel_recv_, ack
-  // attempt counters) is owned by the destination worker's thread.
-  std::uint64_t rel_stage(ChannelId channel, Message message,
-                          std::uint32_t wire_bytes);
+  // The fault and recovery policy is net/reliable_link's; the worker moves
+  // the frames and acks it asks for.  The sender halves of this worker's
+  // out-channels run on its thread (do_send runs on it, acks and internal
+  // deadlines are dispatched on it), as do the receiver halves of its
+  // in-channels.
   void rel_transmit(ChannelId channel, std::uint64_t seq);
   void rel_check_retries(ChannelId channel);
-  void push_rel_frame(ChannelId channel, std::uint64_t seq, Message message,
-                      std::uint32_t wire_bytes);
-  void push_ack(ChannelId channel, std::uint64_t cum_ack);
 
   TimerId add_timer(Duration delay);
   void cancel_timer(TimerId timer);
@@ -91,9 +77,11 @@ class Runtime::Worker {
   };
 
   void thread_main();
+  // Queue a data frame (kRelFrame) or an ack (kAck) from another worker.
+  void push_rel(Item item);
   void rel_arm_retry(ChannelId channel);
-  void rel_deliver_frame(ChannelId channel, std::uint64_t seq,
-                         Duration extra);
+  // Hand a frame or an ack to worker `to`, after `delay` when positive.
+  void rel_post(Worker& to, Item item, Duration delay);
   void rel_on_frame(Item& item, std::size_t& deliveries);
   void schedule_internal(SteadyClock::time_point when,
                          std::function<void()> fn);
@@ -106,84 +94,25 @@ class Runtime::Worker {
   ProcessId id_;
   ProcessPtr process_;
   Rng rng_;
-  std::unique_ptr<ThreadProcessContext> context_;
+  std::unique_ptr<WorkerContext<Worker>> context_;
   BufferPool pool_;
 
   std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<Item> inbox_;
-  // Pending timers ordered by deadline; TimerId breaks ties.  The index
-  // maps a timer id back to its deadline so cancel_timer erases the exact
-  // map key instead of scanning.
-  std::map<std::pair<SteadyClock::time_point, std::uint32_t>, TimerId>
-      timers_;
-  std::unordered_map<std::uint32_t, SteadyClock::time_point> timer_deadline_;
+  TimerQueue timers_;
   // Deadline-fired reliability actions; inserted under mutex_, executed on
   // this worker's thread.
   std::multimap<SteadyClock::time_point, std::function<void()>> internal_;
   bool stopping_ = false;
 
-  // Reliability state, indexed by channel id; sized only when a FaultPlan
-  // is configured.  Each worker touches only its own channels' slots.
-  std::vector<ReliableSender> rel_send_;      // this worker's out-channels
-  std::vector<ReliableReceiver> rel_recv_;    // this worker's in-channels
-  std::vector<std::uint64_t> attempts_;       // out: data fault stream
-  std::vector<std::uint64_t> ack_attempts_;   // in: ack fault stream
-  std::vector<SteadyClock::time_point> retry_arm_;  // earliest armed check
-  std::vector<char> reconnect_pending_;
-
   std::thread thread_;
-};
-
-class ThreadProcessContext final : public ProcessContext {
- public:
-  explicit ThreadProcessContext(Runtime::Worker& worker) : worker_(worker) {}
-
-  [[nodiscard]] ProcessId self() const override { return worker_.id(); }
-  [[nodiscard]] TimePoint now() const override {
-    return worker_.runtime().now();
-  }
-  [[nodiscard]] const Topology& topology() const override {
-    return worker_.runtime().topology();
-  }
-
-  void send(ChannelId channel, Message message) override {
-    worker_.runtime().do_send(worker_.id(), channel, std::move(message));
-  }
-
-  TimerId set_timer(Duration delay) override {
-    return worker_.add_timer(delay);
-  }
-  void cancel_timer(TimerId timer) override { worker_.cancel_timer(timer); }
-
-  [[nodiscard]] Rng& rng() override { return worker_.rng(); }
-
-  [[nodiscard]] obs::MetricsRegistry* metrics() const override {
-    return &worker_.runtime().metrics();
-  }
-
-  void stop_self() override {
-    // No dedicated bookkeeping: a "stopped" process simply schedules no
-    // further timers; its thread keeps serving messages so markers flow.
-  }
-
- private:
-  Runtime::Worker& worker_;
 };
 
 Runtime::Worker::Worker(Runtime& runtime, ProcessId id, ProcessPtr process,
                         Rng rng)
     : runtime_(runtime), id_(id), process_(std::move(process)), rng_(rng) {
-  context_ = std::make_unique<ThreadProcessContext>(*this);
-  if (runtime_.config_.faults) {
-    const std::size_t n = runtime_.topology_.num_channels();
-    rel_send_.assign(n, ReliableSender(runtime_.config_.reliable));
-    rel_recv_.assign(n, ReliableReceiver());
-    attempts_.assign(n, 0);
-    ack_attempts_.assign(n, 0);
-    retry_arm_.assign(n, SteadyClock::time_point::max());
-    reconnect_pending_.assign(n, 0);
-  }
+  context_ = std::make_unique<WorkerContext<Worker>>(*this);
 }
 
 Runtime::Worker::~Worker() { stop(); }
@@ -195,9 +124,6 @@ void Runtime::Worker::start() {
 void Runtime::Worker::stop() {
   {
     std::lock_guard<std::mutex> guard{mutex_};
-    if (stopping_) {
-      // Already stopping; still need to join below if joinable.
-    }
     stopping_ = true;
   }
   cv_.notify_all();
@@ -241,8 +167,7 @@ TimerId Runtime::Worker::add_timer(Duration delay) {
       SteadyClock::now() + std::chrono::nanoseconds(delay.ns);
   {
     std::lock_guard<std::mutex> guard{mutex_};
-    timers_.emplace(std::make_pair(deadline, id.value()), id);
-    timer_deadline_.emplace(id.value(), deadline);
+    timers_.add(id, deadline);
   }
   cv_.notify_one();
   return id;
@@ -250,10 +175,7 @@ TimerId Runtime::Worker::add_timer(Duration delay) {
 
 void Runtime::Worker::cancel_timer(TimerId timer) {
   std::lock_guard<std::mutex> guard{mutex_};
-  const auto it = timer_deadline_.find(timer.value());
-  if (it == timer_deadline_.end()) return;  // already fired or cancelled
-  timers_.erase(std::make_pair(it->second, timer.value()));
-  timer_deadline_.erase(it);
+  timers_.cancel(timer);
 }
 
 bool Runtime::Worker::next_batch(std::deque<Item>& out, bool& from_inbox) {
@@ -280,18 +202,15 @@ bool Runtime::Worker::next_batch(std::deque<Item>& out, bool& from_inbox) {
       from_inbox = false;
       return true;
     }
-    if (!timers_.empty() && timers_.begin()->first.first <= now) {
+    if (const auto due = timers_.pop_due(now)) {
       Item item;
       item.kind = Item::Kind::kTimer;
-      item.timer = timers_.begin()->second;
-      timer_deadline_.erase(item.timer.value());
-      timers_.erase(timers_.begin());
+      item.timer = *due;
       out.push_back(std::move(item));
       from_inbox = false;
       return true;
     }
-    auto deadline = SteadyClock::time_point::max();
-    if (!timers_.empty()) deadline = timers_.begin()->first.first;
+    auto deadline = timers_.next_deadline();
     if (!internal_.empty() && internal_.begin()->first < deadline) {
       deadline = internal_.begin()->first;
     }
@@ -330,7 +249,7 @@ void Runtime::Worker::thread_main() {
           rel_on_frame(item, deliveries);
           break;
         case Item::Kind::kAck:
-          rel_send_[item.channel.value()].ack(item.rel_seq);
+          runtime_.rel_send_[item.channel.value()].ack(item.rel_seq);
           rel_arm_retry(item.channel);
           break;
         case Item::Kind::kInternal:
@@ -359,106 +278,54 @@ void Runtime::Worker::schedule_internal(SteadyClock::time_point when,
   cv_.notify_one();
 }
 
-std::uint64_t Runtime::Worker::rel_stage(ChannelId channel, Message message,
-                                         std::uint32_t wire_bytes) {
-  return rel_send_[channel.value()].stage(std::move(message), wire_bytes,
-                                          runtime_.now());
-}
-
 void Runtime::Worker::rel_transmit(ChannelId channel, std::uint64_t seq) {
-  const std::size_t c = channel.value();
-  if (rel_send_[c].peek(seq) == nullptr) return;  // acked meanwhile
-  const std::uint64_t attempt = attempts_[c]++;
-  const FaultDecision fault =
-      runtime_.config_.faults->decide(channel, attempt);
-  switch (fault.kind) {
-    case FaultKind::kDrop:
-    case FaultKind::kPartition:
-      runtime_.metrics_.on_fault(fault_index(fault.kind));
-      annotate(runtime_.config_.replay,
-               static_cast<std::uint8_t>(fault_index(fault.kind)), channel,
-               attempt);
-      break;  // frame vanishes; the retransmit timer recovers
-    case FaultKind::kReset: {
-      runtime_.metrics_.on_fault(fault_index(fault.kind));
-      runtime_.metrics_.on_channel_down();
-      annotate(runtime_.config_.replay,
-               static_cast<std::uint8_t>(fault_index(fault.kind)), channel,
-               attempt);
-      // The frame is lost with the "connection"; after a redial delay,
-      // resync replays the whole unacked window.
-      if (reconnect_pending_[c] != 0) break;
-      reconnect_pending_[c] = 1;
-      const auto redial =
-          SteadyClock::now() +
-          std::chrono::nanoseconds(runtime_.config_.reliable.rto_initial.ns);
-      schedule_internal(redial, [this, channel] {
-        const std::size_t cc = channel.value();
-        reconnect_pending_[cc] = 0;
-        runtime_.metrics_.on_reconnect();
-        annotate(runtime_.config_.replay, kReplayAnnotationReconnect, channel,
-                 0);
-        const std::size_t replayed =
-            rel_send_[cc].mark_all_due(runtime_.now());
-        runtime_.metrics_.on_resync_replayed(replayed);
-        annotate(runtime_.config_.replay, kReplayAnnotationResync, channel,
-                 replayed);
-        rel_check_retries(channel);
-      });
-      break;
-    }
-    case FaultKind::kDuplicate:
-      runtime_.metrics_.on_fault(fault_index(fault.kind));
-      annotate(runtime_.config_.replay,
-               static_cast<std::uint8_t>(fault_index(fault.kind)), channel,
-               attempt);
-      rel_deliver_frame(channel, seq, Duration{0});
-      rel_deliver_frame(channel, seq, Duration{0});
-      break;
-    case FaultKind::kReorder:
-    case FaultKind::kDelay:
-      runtime_.metrics_.on_fault(fault_index(fault.kind));
-      annotate(runtime_.config_.replay,
-               static_cast<std::uint8_t>(fault_index(fault.kind)), channel,
-               attempt);
-      rel_deliver_frame(channel, seq, fault.extra_delay);
-      break;
-    case FaultKind::kNone:
-      rel_deliver_frame(channel, seq, Duration{0});
-      break;
+  const auto tx = runtime_.rel_send_[channel.value()].transmit(seq);
+  if (!tx.has_value()) return;  // acked meanwhile
+  if (tx->redial) {
+    // After a redial delay, resync replays the whole unacked window.
+    const auto redial =
+        SteadyClock::now() +
+        std::chrono::nanoseconds(runtime_.config_.reliable.rto_initial.ns);
+    schedule_internal(redial, [this, channel] {
+      runtime_.link_env_.on_reconnect(channel);
+      runtime_.rel_send_[channel.value()].resync(runtime_.now());
+      rel_check_retries(channel);
+    });
+  }
+  Worker& dest =
+      *runtime_.workers_[runtime_.topology_.channel(channel).destination
+                             .value()];
+  for (std::uint8_t i = 0; i < tx->copies; ++i) {
+    // Frame contents are fixed at transmission time: copy now even for a
+    // delayed frame, so an ack retiring the window entry cannot
+    // invalidate it.
+    Item item;
+    item.kind = Item::Kind::kRelFrame;
+    item.channel = channel;
+    item.message = tx->frame->message;
+    item.wire_bytes = static_cast<std::uint32_t>(tx->frame->meta);
+    item.rel_seq = seq;
+    rel_post(dest, std::move(item), tx->extra_delay);
   }
   rel_arm_retry(channel);
 }
 
-void Runtime::Worker::rel_deliver_frame(ChannelId channel, std::uint64_t seq,
-                                        Duration extra) {
-  const std::size_t c = channel.value();
-  const ReliableSender::Staged* staged = rel_send_[c].peek(seq);
-  if (staged == nullptr) return;
-  Worker& dest =
-      *runtime_.workers_[runtime_.topology_.channel(channel).destination
-                             .value()];
-  // Frame contents are fixed at transmission time: copy now even for a
-  // delayed frame, so an ack retiring the window entry cannot invalidate
-  // the closure.
-  Message copy = staged->message;
-  const auto wire_bytes = static_cast<std::uint32_t>(staged->meta);
-  if (extra.ns <= 0) {
-    dest.push_rel_frame(channel, seq, std::move(copy), wire_bytes);
+void Runtime::Worker::rel_post(Worker& to, Item item, Duration delay) {
+  if (delay.ns <= 0) {
+    to.push_rel(std::move(item));
     return;
   }
-  const auto when = SteadyClock::now() + std::chrono::nanoseconds(extra.ns);
-  schedule_internal(when, [&dest, channel, seq, copy = std::move(copy),
-                           wire_bytes]() mutable {
-    dest.push_rel_frame(channel, seq, std::move(copy), wire_bytes);
-  });
+  schedule_internal(SteadyClock::now() + std::chrono::nanoseconds(delay.ns),
+                    [&to, item = std::move(item)]() mutable {
+                      to.push_rel(std::move(item));
+                    });
 }
 
 void Runtime::Worker::rel_check_retries(ChannelId channel) {
   const std::size_t c = channel.value();
-  retry_arm_[c] = SteadyClock::time_point::max();
-  for (const std::uint64_t seq : rel_send_[c].due(runtime_.now())) {
-    runtime_.metrics_.on_retransmit();
+  runtime_.retry_arm_[c] = SteadyClock::time_point::max();
+  for (const std::uint64_t seq :
+       runtime_.rel_send_[c].retransmits(runtime_.now())) {
     rel_transmit(channel, seq);
   }
   rel_arm_retry(channel);
@@ -466,28 +333,20 @@ void Runtime::Worker::rel_check_retries(ChannelId channel) {
 
 void Runtime::Worker::rel_arm_retry(ChannelId channel) {
   const std::size_t c = channel.value();
-  const auto deadline = rel_send_[c].next_deadline();
+  const auto deadline = runtime_.rel_send_[c].next_deadline();
   if (!deadline.has_value()) return;
   const auto when =
       runtime_.epoch_ + std::chrono::nanoseconds(deadline->ns);
-  if (retry_arm_[c] <= when) return;  // an earlier check covers this
-  retry_arm_[c] = when;
+  if (runtime_.retry_arm_[c] <= when) return;  // an earlier check covers it
+  runtime_.retry_arm_[c] = when;
   schedule_internal(when, [this, channel] { rel_check_retries(channel); });
 }
 
-void Runtime::Worker::push_rel_frame(ChannelId channel, std::uint64_t seq,
-                                     Message message,
-                                     std::uint32_t wire_bytes) {
+void Runtime::Worker::push_rel(Item item) {
   std::size_t depth = 0;
   {
     std::lock_guard<std::mutex> guard{mutex_};
     if (stopping_) return;
-    Item item;
-    item.kind = Item::Kind::kRelFrame;
-    item.channel = channel;
-    item.rel_seq = seq;
-    item.message = std::move(message);
-    item.wire_bytes = wire_bytes;
     inbox_.push_back(std::move(item));
     depth = inbox_.size();
   }
@@ -495,27 +354,12 @@ void Runtime::Worker::push_rel_frame(ChannelId channel, std::uint64_t seq,
   cv_.notify_one();
 }
 
-void Runtime::Worker::push_ack(ChannelId channel, std::uint64_t cum_ack) {
-  {
-    std::lock_guard<std::mutex> guard{mutex_};
-    if (stopping_) return;
-    Item item;
-    item.kind = Item::Kind::kAck;
-    item.channel = channel;
-    item.rel_seq = cum_ack;
-    inbox_.push_back(std::move(item));
-  }
-  cv_.notify_one();
-}
-
 void Runtime::Worker::rel_on_frame(Item& item, std::size_t& deliveries) {
   const std::size_t c = item.channel.value();
+  LinkReceiver& receiver = runtime_.rel_recv_[c];
   std::vector<ReliableReceiver::Delivery> released;
-  const auto accept = rel_recv_[c].on_frame(
-      item.rel_seq, std::move(item.message), item.wire_bytes, released);
-  if (accept == ReliableReceiver::Accept::kDuplicate) {
-    runtime_.metrics_.on_dup_suppressed();
-  }
+  receiver.on_frame(item.rel_seq, std::move(item.message), item.wire_bytes,
+                    released);
   for (auto& delivery : released) {
     ++deliveries;
     runtime_.metrics_.on_deliver(c, traffic_class(delivery.message.kind),
@@ -523,35 +367,16 @@ void Runtime::Worker::rel_on_frame(Item& item, std::size_t& deliveries) {
     process_->on_message(*context_, item.channel,
                          std::move(delivery.message));
   }
-  // Ack every arrival, duplicates included: a re-ack is what stops the
-  // sender retransmitting a frame whose ack was lost.
-  const std::uint64_t attempt = ack_attempts_[c]++;
-  const FaultDecision fault =
-      runtime_.config_.faults->decide_ack(item.channel, attempt);
-  if (fault.kind == FaultKind::kDrop) {
-    runtime_.metrics_.on_fault(fault_index(fault.kind));
-    annotate(runtime_.config_.replay,
-             static_cast<std::uint8_t>(fault_index(fault.kind)), item.channel,
-             attempt);
-    return;
-  }
+  const auto ack = receiver.ack();
+  if (!ack.has_value()) return;
   Worker& src =
       *runtime_.workers_[runtime_.topology_.channel(item.channel).source
                              .value()];
-  const std::uint64_t cum = rel_recv_[c].cum_ack();
-  if (fault.kind == FaultKind::kDelay) {
-    runtime_.metrics_.on_fault(fault_index(fault.kind));
-    annotate(runtime_.config_.replay,
-             static_cast<std::uint8_t>(fault_index(fault.kind)), item.channel,
-             attempt);
-    const auto when =
-        SteadyClock::now() + std::chrono::nanoseconds(fault.extra_delay.ns);
-    const ChannelId ch = item.channel;
-    schedule_internal(when,
-                      [&src, ch, cum] { src.push_ack(ch, cum); });
-    return;
-  }
-  src.push_ack(item.channel, cum);
+  Item reply;
+  reply.kind = Item::Kind::kAck;
+  reply.channel = item.channel;
+  reply.rel_seq = ack->cum_ack;
+  rel_post(src, std::move(reply), ack->extra_delay);
 }
 
 // ---------------------------------------------------------------------------
@@ -566,6 +391,18 @@ Runtime::Runtime(Topology topology, std::vector<ProcessPtr> processes,
                channel_meta(topology_)) {
   DDBG_ASSERT(processes.size() == topology_.num_processes(),
               "one Process per topology process required");
+  if (config_.faults) {
+    link_env_ = LinkEnv{config_.faults.get(), config_.reliable, &metrics_,
+                        config_.replay.get()};
+    rel_send_.reserve(topology_.num_channels());
+    rel_recv_.reserve(topology_.num_channels());
+    for (const ChannelSpec& spec : topology_.channels()) {
+      rel_send_.emplace_back(link_env_, spec.id);
+      rel_recv_.emplace_back(link_env_, spec.id);
+    }
+    retry_arm_.assign(topology_.num_channels(),
+                      SteadyClock::time_point::max());
+  }
   Rng root(config_.seed);
   workers_.reserve(processes.size());
   for (std::size_t i = 0; i < processes.size(); ++i) {
@@ -654,10 +491,9 @@ void Runtime::do_send(ProcessId sender, ChannelId channel, Message message) {
     // Lossy transport: stage in the sending worker's retransmit window
     // (do_send runs on the sender's thread) and transmit under the fault
     // plan; the destination's receiver restores FIFO exactly-once order.
-    Worker& src = *workers_[sender.value()];
     const std::uint64_t seq =
-        src.rel_stage(channel, std::move(message), wire_bytes);
-    src.rel_transmit(channel, seq);
+        rel_send_[channel.value()].stage(std::move(message), wire_bytes, now());
+    workers_[sender.value()]->rel_transmit(channel, seq);
     return;
   }
   workers_[spec.destination.value()]->push_delivery(channel,

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <memory>
@@ -26,6 +27,7 @@
 #include "net/fault_plan.hpp"
 #include "net/process.hpp"
 #include "net/reliable.hpp"
+#include "net/reliable_link.hpp"
 #include "net/replay_hooks.hpp"
 #include "net/topology.hpp"
 #include "net/transport_hooks.hpp"
@@ -92,7 +94,7 @@ class Runtime {
   [[nodiscard]] TimePoint now() const;
 
  private:
-  friend class ThreadProcessContext;
+  template <typename> friend class WorkerContext;
   class Worker;
 
   void do_send(ProcessId sender, ChannelId channel, Message message);
@@ -100,6 +102,13 @@ class Runtime {
   Topology topology_;
   RuntimeConfig config_;
   obs::MetricsRegistry metrics_;
+  // Reliable links, indexed by channel; empty unless config_.faults.  A
+  // channel's sender half and retry arming belong to its source worker's
+  // thread, its receiver half to its destination worker's.
+  LinkEnv link_env_;
+  std::vector<LinkSender> rel_send_;
+  std::vector<LinkReceiver> rel_recv_;
+  std::vector<std::chrono::steady_clock::time_point> retry_arm_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<std::uint64_t> next_message_id_{1};
   // Per-runtime (not static): ids restart at 1 for every instance, so runs

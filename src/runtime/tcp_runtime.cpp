@@ -14,6 +14,7 @@
 #include <cstring>
 #include <deque>
 #include <map>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 
@@ -21,21 +22,14 @@
 #include "common/logging.hpp"
 #include "common/serialization.hpp"
 #include "net/framing.hpp"
-#include "net/reliable.hpp"
+#include "net/reliable_link.hpp"
+#include "runtime/worker.hpp"
 
 namespace ddbg {
 
 namespace {
 
 using SteadyClock = std::chrono::steady_clock;
-
-// Replay-log annotation for transport-level nondeterminism (fault draws,
-// reconnects, resyncs).  Diagnostic provenance only — the null check keeps
-// unrecorded runs untouched.
-void annotate(const std::shared_ptr<ReplaySink>& sink, std::uint8_t kind,
-              ChannelId channel, std::uint64_t detail) {
-  if (sink != nullptr) sink->record_annotation(kind, channel, detail);
-}
 
 // Every frame body starts with the 4-byte channel id it belongs to — the
 // demultiplexing key on a shared pair socket.
@@ -89,7 +83,9 @@ void close_fd(int& fd) {
   }
 }
 
-void apply_pair_socket_options(int fd, const TcpRuntimeConfig& config) {
+// Socket options every pair connection runs with; false if the fd cannot
+// be made nonblocking.
+bool prepare_pair_socket(int fd, const TcpRuntimeConfig& config) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   if (config.sndbuf_bytes > 0) {
@@ -100,6 +96,42 @@ void apply_pair_socket_options(int fd, const TcpRuntimeConfig& config) {
     ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &config.rcvbuf_bytes,
                  sizeof(config.rcvbuf_bytes));
   }
+  return set_nonblocking(fd);
+}
+
+// Dial a worker's loopback listener and send the hello: the 4-byte index
+// of the pair this connection realizes.  Returns the (still blocking) fd,
+// or -1.
+int dial_pair(std::uint16_t port, std::uint32_t pair) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  std::uint8_t hello[4];
+  std::memcpy(hello, &pair, sizeof(pair));
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      !write_all(fd, hello, sizeof(hello))) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// Read the hello a dialer writes right after connecting, so the blocking
+// read is momentary.
+bool read_hello(int fd, std::uint32_t& pair) {
+  std::uint8_t hello[4];
+  std::size_t got = 0;
+  while (got < sizeof(hello)) {
+    const ssize_t n = ::read(fd, hello + got, sizeof(hello) - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    got += static_cast<std::size_t>(n);
+  }
+  std::memcpy(&pair, hello, sizeof(pair));
+  return true;
 }
 
 }  // namespace
@@ -107,8 +139,6 @@ void apply_pair_socket_options(int fd, const TcpRuntimeConfig& config) {
 // ---------------------------------------------------------------------------
 // Worker
 // ---------------------------------------------------------------------------
-
-class TcpProcessContext;
 
 class TcpRuntime::Worker {
  public:
@@ -194,7 +224,6 @@ class TcpRuntime::Worker {
                       BufferPool::Lease frame);
   void flush_sends();
   void try_flush(std::size_t slot);
-  void continue_flush(std::size_t slot);
   // Retire fully written frames against `written` bytes; returns how many
   // frames completed.
   std::size_t advance_out_queue(PairConn& conn, std::size_t written);
@@ -205,9 +234,15 @@ class TcpRuntime::Worker {
   // state).  With faults, the dialer side schedules a redial and the
   // acceptor side waits for the peer's dial.
   void conn_down(std::size_t slot, bool count_loss);
+  // Make `fd` the endpoint's live connection, replacing (and retiring)
+  // any previous one.
+  void adopt_fd(std::size_t slot, int fd);
   void retire_fd_from_epoll(int fd);
 
   // ---- reliability layer (runtime_.config_.faults only) ----
+  // The fault and recovery policy is net/reliable_link's; the reactor
+  // writes the frames and acks it asks for, and a reset tears down the
+  // pair socket.
   [[nodiscard]] std::size_t out_slot(ChannelId channel) const;
   void rel_transmit(std::size_t slot, std::uint64_t seq);
   void rel_write_data(std::size_t slot, std::uint64_t seq);
@@ -224,7 +259,7 @@ class TcpRuntime::Worker {
   ProcessId id_;
   ProcessPtr process_;
   Rng rng_;
-  std::unique_ptr<TcpProcessContext> context_;
+  std::unique_ptr<WorkerContext<Worker>> context_;
 
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
@@ -255,11 +290,9 @@ class TcpRuntime::Worker {
   // cumulative ack each).
   std::vector<std::uint32_t> ack_pending_;
 
-  // Reliability state; sized only when a FaultPlan is configured.
-  std::vector<ReliableSender> rel_send_;   // by out slot
-  std::vector<std::uint64_t> out_attempts_;  // data fault stream, by out slot
-  std::vector<ReliableReceiver> in_recv_;    // by in slot
-  std::vector<std::uint64_t> in_ack_attempts_;  // ack fault stream
+  // Reliable links; sized only when a FaultPlan is configured.
+  std::vector<LinkSender> rel_send_;   // by out slot
+  std::vector<LinkReceiver> in_recv_;  // by in slot
   // Frames held back by delay/reorder faults, fired by the reactor.
   struct DelayedWire {
     bool is_ack = false;
@@ -275,47 +308,17 @@ class TcpRuntime::Worker {
 
   std::mutex mutex_;
   std::deque<std::function<void(ProcessContext&, Process&)>> closures_;
-  std::map<std::pair<SteadyClock::time_point, std::uint32_t>, TimerId>
-      timers_;
-  std::unordered_map<std::uint32_t, SteadyClock::time_point> timer_deadline_;
+  TimerQueue timers_;
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> poll_iterations_{0};
 
   std::thread thread_;
 };
 
-class TcpProcessContext final : public ProcessContext {
- public:
-  explicit TcpProcessContext(TcpRuntime::Worker& worker) : worker_(worker) {}
-
-  [[nodiscard]] ProcessId self() const override { return worker_.id(); }
-  [[nodiscard]] TimePoint now() const override {
-    return worker_.runtime().now();
-  }
-  [[nodiscard]] const Topology& topology() const override {
-    return worker_.runtime().topology();
-  }
-  void send(ChannelId channel, Message message) override {
-    worker_.runtime().do_send(worker_.id(), channel, std::move(message));
-  }
-  TimerId set_timer(Duration delay) override {
-    return worker_.add_timer(delay);
-  }
-  void cancel_timer(TimerId timer) override { worker_.cancel_timer(timer); }
-  [[nodiscard]] Rng& rng() override { return worker_.rng(); }
-  [[nodiscard]] obs::MetricsRegistry* metrics() const override {
-    return &worker_.runtime().metrics();
-  }
-  void stop_self() override {}
-
- private:
-  TcpRuntime::Worker& worker_;
-};
-
 TcpRuntime::Worker::Worker(TcpRuntime& runtime, ProcessId id,
                            ProcessPtr process, Rng rng)
     : runtime_(runtime), id_(id), process_(std::move(process)), rng_(rng) {
-  context_ = std::make_unique<TcpProcessContext>(*this);
+  context_ = std::make_unique<WorkerContext<Worker>>(*this);
   for (const ChannelId channel : runtime_.topology_.out_channels(id_)) {
     out_slot_of_channel_.emplace(
         channel.value(), static_cast<std::uint32_t>(out_channels_.size()));
@@ -327,11 +330,12 @@ TcpRuntime::Worker::Worker(TcpRuntime& runtime, ProcessId id,
     in_channels_.push_back(channel);
   }
   if (runtime_.config_.faults) {
-    rel_send_.assign(out_channels_.size(),
-                     ReliableSender(runtime_.config_.reliable));
-    out_attempts_.assign(out_channels_.size(), 0);
-    in_recv_.resize(in_channels_.size());
-    in_ack_attempts_.assign(in_channels_.size(), 0);
+    for (const ChannelId channel : out_channels_) {
+      rel_send_.emplace_back(runtime_.link_env_, channel);
+    }
+    for (const ChannelId channel : in_channels_) {
+      in_recv_.emplace_back(runtime_.link_env_, channel);
+    }
   }
 }
 
@@ -406,27 +410,10 @@ bool TcpRuntime::Worker::accept_inbound() {
   for (std::size_t i = 0; i < expected; ++i) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) return false;
-    // Hello frame: the 4-byte pair index this connection realizes.
-    std::uint8_t hello[4];
-    std::size_t got = 0;
-    while (got < sizeof(hello)) {
-      const ssize_t n = ::read(fd, hello + got, sizeof(hello) - got);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        ::close(fd);
-        return false;
-      }
-      got += static_cast<std::size_t>(n);
-    }
     std::uint32_t pair = 0;
-    std::memcpy(&pair, hello, sizeof(pair));
-    if (pair >= runtime_.pairs_.size() ||
-        runtime_.pairs_[pair].b != id_.value()) {
-      ::close(fd);
-      return false;
-    }
-    apply_pair_socket_options(fd, runtime_.config_);
-    if (!set_nonblocking(fd)) {
+    if (!read_hello(fd, pair) || pair >= runtime_.pairs_.size() ||
+        runtime_.pairs_[pair].b != id_.value() ||
+        !prepare_pair_socket(fd, runtime_.config_)) {
       ::close(fd);
       return false;
     }
@@ -471,8 +458,7 @@ TimerId TcpRuntime::Worker::add_timer(Duration delay) {
       SteadyClock::now() + std::chrono::nanoseconds(delay.ns);
   {
     std::lock_guard<std::mutex> guard{mutex_};
-    timers_.emplace(std::make_pair(deadline, id.value()), id);
-    timer_deadline_.emplace(id.value(), deadline);
+    timers_.add(id, deadline);
   }
   wake();
   return id;
@@ -480,10 +466,7 @@ TimerId TcpRuntime::Worker::add_timer(Duration delay) {
 
 void TcpRuntime::Worker::cancel_timer(TimerId timer) {
   std::lock_guard<std::mutex> guard{mutex_};
-  const auto it = timer_deadline_.find(timer.value());
-  if (it == timer_deadline_.end()) return;  // already fired or cancelled
-  timers_.erase(std::make_pair(it->second, timer.value()));
-  timer_deadline_.erase(it);
+  timers_.cancel(timer);
 }
 
 // The single wakeup-deadline computation: pending closures, the nearest
@@ -496,7 +479,7 @@ int TcpRuntime::Worker::next_timeout_ms() {
   {
     std::lock_guard<std::mutex> guard{mutex_};
     if (!closures_.empty()) return 0;
-    if (!timers_.empty()) deadline = timers_.begin()->first.first;
+    deadline = timers_.next_deadline();
   }
   if (runtime_.config_.faults) {
     const auto rel = rel_next_deadline();
@@ -513,18 +496,13 @@ int TcpRuntime::Worker::next_timeout_ms() {
 
 void TcpRuntime::Worker::fire_due_timers() {
   while (true) {
-    TimerId due;
+    std::optional<TimerId> due;
     {
       std::lock_guard<std::mutex> guard{mutex_};
-      if (timers_.empty() ||
-          timers_.begin()->first.first > SteadyClock::now()) {
-        return;
-      }
-      due = timers_.begin()->second;
-      timer_deadline_.erase(due.value());
-      timers_.erase(timers_.begin());
+      due = timers_.pop_due(SteadyClock::now());
     }
-    process_->on_timer(*context_, due);
+    if (!due.has_value()) return;
+    process_->on_timer(*context_, *due);
   }
 }
 
@@ -635,6 +613,19 @@ void TcpRuntime::Worker::conn_down(std::size_t slot, bool count_loss) {
         SteadyClock::now() +
         std::chrono::nanoseconds(runtime_.config_.reliable.rto_initial.ns);
   }
+}
+
+void TcpRuntime::Worker::adopt_fd(std::size_t slot, int fd) {
+  PairConn& conn = conns_[slot];
+  if (conn.fd >= 0) retire_fd_from_epoll(conn.fd);
+  conn.fd = fd;
+  conn.read_open = conn.write_open = true;
+  conn.want_write = false;
+  conn.parser = FrameParser();
+  conn.outq.clear();
+  conn.front_offset = 0;
+  epoll_add_conn(slot);
+  runtime_.pair_fd_[2 * conn.pair + conn.side].store(fd);
 }
 
 void TcpRuntime::Worker::handle_readable(std::size_t slot,
@@ -757,11 +748,8 @@ void TcpRuntime::Worker::parse_pair_frames(std::size_t slot) {
         body->size() - kChannelPrefixSize - kRelHeaderSize;
     static thread_local std::vector<ReliableReceiver::Delivery> releases;
     releases.clear();
-    const auto accept = in_recv_[in_idx].on_frame(
-        header.value().seq, std::move(message).value(), wire, releases);
-    if (accept == ReliableReceiver::Accept::kDuplicate) {
-      runtime_.metrics_.on_dup_suppressed();
-    }
+    in_recv_[in_idx].on_frame(header.value().seq, std::move(message).value(),
+                              wire, releases);
     for (auto& release : releases) {
       ++delivered;
       runtime_.metrics_.on_deliver(
@@ -820,7 +808,7 @@ void TcpRuntime::Worker::thread_main() {
       }
       const auto slot = static_cast<std::size_t>(tag);
       if (slot >= conns_.size() || conns_[slot].fd < 0) continue;
-      if (events[i].events & EPOLLOUT) continue_flush(slot);
+      if (events[i].events & EPOLLOUT) try_flush(slot);
       if (conns_[slot].fd >= 0 &&
           (events[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR))) {
         handle_readable(slot, events[i].events);
@@ -962,7 +950,7 @@ void TcpRuntime::Worker::try_flush(std::size_t slot) {
     msg.msg_iovlen = count;
     // The send-blocked clock brackets the syscall; on a nonblocking fd it
     // is ~0, and the real wedge time (EPOLLOUT armed -> queue drained) is
-    // added in continue_flush when the backpressure clears.
+    // added below once an EPOLLOUT-resumed flush clears the backpressure.
     const ChannelId front_channel = conn.outq.front().channel;
     const auto write_start = SteadyClock::now();
     const ssize_t n = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
@@ -1024,10 +1012,6 @@ void TcpRuntime::Worker::try_flush(std::size_t slot) {
   }
 }
 
-void TcpRuntime::Worker::continue_flush(std::size_t slot) {
-  try_flush(slot);
-}
-
 void TcpRuntime::Worker::flush_sends() {
   for (std::size_t slot = 0; slot < conns_.size(); ++slot) {
     if (!conns_[slot].outq.empty() && !conns_[slot].want_write) {
@@ -1063,56 +1047,29 @@ void TcpRuntime::Worker::rel_send_message(ChannelId channel,
 }
 
 void TcpRuntime::Worker::rel_transmit(std::size_t slot, std::uint64_t seq) {
-  if (rel_send_[slot].peek(seq) == nullptr) return;  // acked meanwhile
-  const ChannelId channel = out_channels_[slot];
-  const std::uint64_t attempt = out_attempts_[slot]++;
-  const FaultDecision fault =
-      runtime_.config_.faults->decide(channel, attempt);
-  switch (fault.kind) {
-    case FaultKind::kNone:
+  const auto tx = rel_send_[slot].transmit(seq);
+  if (!tx.has_value()) return;  // acked meanwhile
+  if (tx->reset) {
+    // Connection torn down under the frame: quarantine the pair socket
+    // and redial after a backoff.  Resync on the fresh connection replays
+    // the whole unacked window, this frame included.  The link counted
+    // the loss.
+    const std::uint32_t pair =
+        runtime_.channel_pair_[out_channels_[slot].value()];
+    conn_down(send_slot_of_pair_.at(pair), /*count_loss=*/false);
+    return;
+  }
+  for (std::uint8_t i = 0; i < tx->copies; ++i) {
+    if (tx->extra_delay.ns <= 0) {
       rel_write_data(slot, seq);
-      return;
-    case FaultKind::kDrop:
-    case FaultKind::kPartition:
-      // Swallowed by the adversary; the retransmit timer recovers.
-      runtime_.metrics_.on_fault(fault_index(fault.kind));
-      annotate(runtime_.config_.replay,
-               static_cast<std::uint8_t>(fault_index(fault.kind)), channel,
-               attempt);
-      return;
-    case FaultKind::kReset: {
-      // Connection torn down under the frame: quarantine the pair socket
-      // and redial after a backoff.  Resync on the fresh connection
-      // replays the whole unacked window, this frame included.
-      runtime_.metrics_.on_fault(fault_index(fault.kind));
-      annotate(runtime_.config_.replay,
-               static_cast<std::uint8_t>(fault_index(fault.kind)), channel,
-               attempt);
-      const std::uint32_t pair = runtime_.channel_pair_[channel.value()];
-      conn_down(send_slot_of_pair_.at(pair), /*count_loss=*/true);
-      return;
+      continue;
     }
-    case FaultKind::kDuplicate:
-      runtime_.metrics_.on_fault(fault_index(fault.kind));
-      annotate(runtime_.config_.replay,
-               static_cast<std::uint8_t>(fault_index(fault.kind)), channel,
-               attempt);
-      rel_write_data(slot, seq);
-      rel_write_data(slot, seq);
-      return;
-    case FaultKind::kReorder:
-    case FaultKind::kDelay:
-      // Held back and fired by the reactor; later frames on the channel
-      // overtake this one on the wire, and the receiver's sequencer puts
-      // the order back.
-      runtime_.metrics_.on_fault(fault_index(fault.kind));
-      annotate(runtime_.config_.replay,
-               static_cast<std::uint8_t>(fault_index(fault.kind)), channel,
-               attempt);
-      delayed_.emplace(SteadyClock::now() +
-                           std::chrono::nanoseconds(fault.extra_delay.ns),
-                       DelayedWire{false, slot, 0, seq});
-      return;
+    // Held back and fired by the reactor; later frames on the channel
+    // overtake this one on the wire, and the receiver's sequencer puts
+    // the order back.
+    delayed_.emplace(
+        SteadyClock::now() + std::chrono::nanoseconds(tx->extra_delay.ns),
+        DelayedWire{false, slot, 0, seq});
   }
 }
 
@@ -1137,25 +1094,12 @@ void TcpRuntime::Worker::rel_write_data(std::size_t slot, std::uint64_t seq) {
 
 void TcpRuntime::Worker::rel_write_ack(std::size_t in_slot,
                                        std::size_t conn_slot) {
-  const std::uint64_t attempt = in_ack_attempts_[in_slot]++;
-  const FaultDecision fault = runtime_.config_.faults->decide_ack(
-      in_channels_[in_slot], attempt);
-  if (fault.kind == FaultKind::kDrop) {
-    // Cumulative acks make a lost one free: the next carries its news.
-    runtime_.metrics_.on_fault(fault_index(fault.kind));
-    annotate(runtime_.config_.replay,
-             static_cast<std::uint8_t>(fault_index(fault.kind)),
-             in_channels_[in_slot], attempt);
-    return;
-  }
-  if (fault.kind == FaultKind::kDelay) {
-    runtime_.metrics_.on_fault(fault_index(fault.kind));
-    annotate(runtime_.config_.replay,
-             static_cast<std::uint8_t>(fault_index(fault.kind)),
-             in_channels_[in_slot], attempt);
-    delayed_.emplace(SteadyClock::now() +
-                         std::chrono::nanoseconds(fault.extra_delay.ns),
-                     DelayedWire{true, in_slot, conn_slot, 0});
+  const auto ack = in_recv_[in_slot].ack();
+  if (!ack.has_value()) return;
+  if (ack->extra_delay.ns > 0) {
+    delayed_.emplace(
+        SteadyClock::now() + std::chrono::nanoseconds(ack->extra_delay.ns),
+        DelayedWire{true, in_slot, conn_slot, 0});
     return;
   }
   rel_write_ack_frame(in_slot, conn_slot);
@@ -1190,12 +1134,7 @@ void TcpRuntime::Worker::resync_pair(std::uint32_t pair) {
     if (runtime_.channel_pair_[out_channels_[slot].value()] != pair) {
       continue;
     }
-    const std::size_t replayed = rel_send_[slot].mark_all_due(runtime_.now());
-    if (replayed > 0) {
-      runtime_.metrics_.on_resync_replayed(replayed);
-      annotate(runtime_.config_.replay, kReplayAnnotationResync,
-               out_channels_[slot], replayed);
-    }
+    rel_send_[slot].resync(runtime_.now());
   }
 }
 
@@ -1207,82 +1146,35 @@ void TcpRuntime::Worker::rel_try_reconnect(std::size_t slot) {
     return;
   }
   const HostPair& pair = runtime_.pairs_[conn.pair];
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  bool ok = fd >= 0;
-  if (ok) {
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(runtime_.workers_[pair.b]->port());
-    ok = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
-  }
-  if (ok) {
-    const std::uint32_t pair_index = conn.pair;
-    std::uint8_t hello[4];
-    std::memcpy(hello, &pair_index, sizeof(pair_index));
-    ok = write_all(fd, hello, sizeof(hello));
-  }
-  if (ok) {
-    apply_pair_socket_options(fd, runtime_.config_);
-    ok = set_nonblocking(fd);
-  }
-  if (!ok) {
+  const int fd = dial_pair(runtime_.workers_[pair.b]->port(), conn.pair);
+  if (fd < 0 || !prepare_pair_socket(fd, runtime_.config_)) {
     if (fd >= 0) ::close(fd);
     conn.reconnect_at =
         SteadyClock::now() +
         std::chrono::nanoseconds(runtime_.config_.reliable.rto_initial.ns);
     return;
   }
-  if (conn.fd >= 0) retire_fd_from_epoll(conn.fd);
-  conn.fd = fd;
-  conn.read_open = conn.write_open = true;
-  conn.want_write = false;
-  conn.parser = FrameParser();
-  conn.outq.clear();
-  conn.front_offset = 0;
-  epoll_add_conn(slot);
-  runtime_.pair_fd_[2 * conn.pair].store(fd);
-  runtime_.metrics_.on_reconnect();
-  annotate(runtime_.config_.replay, kReplayAnnotationReconnect,
-           ChannelId(conn.pair), conn.pair);
+  adopt_fd(slot, fd);
+  runtime_.link_env_.on_reconnect(pair.first_channel);
   resync_pair(conn.pair);
 }
 
 void TcpRuntime::Worker::accept_runtime_connection() {
   const int fd = ::accept(listen_fd_, nullptr, nullptr);
   if (fd < 0) return;
-  // Same 4-byte pair-index hello as the startup dial.  The dialer writes
-  // it immediately after connect, so this blocking read is momentary.
-  std::uint8_t hello[4];
-  std::size_t got = 0;
-  while (got < sizeof(hello)) {
-    const ssize_t n = ::read(fd, hello + got, sizeof(hello) - got);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      ::close(fd);
-      return;
-    }
-    got += static_cast<std::size_t>(n);
-  }
   std::uint32_t pair = 0;
-  std::memcpy(&pair, hello, sizeof(pair));
+  if (!read_hello(fd, pair)) {
+    ::close(fd);
+    return;
+  }
   for (std::size_t slot = 0; slot < conns_.size(); ++slot) {
-    PairConn& conn = conns_[slot];
+    const PairConn& conn = conns_[slot];
     if (conn.pair != pair || conn.side != 1) continue;
-    if (conn.fd >= 0) retire_fd_from_epoll(conn.fd);
-    apply_pair_socket_options(fd, runtime_.config_);
-    if (!set_nonblocking(fd)) {
+    if (!prepare_pair_socket(fd, runtime_.config_)) {
       ::close(fd);
       return;
     }
-    conn.fd = fd;
-    conn.read_open = conn.write_open = true;
-    conn.want_write = false;
-    conn.parser = FrameParser();
-    conn.outq.clear();
-    conn.front_offset = 0;
-    epoll_add_conn(slot);
-    runtime_.pair_fd_[2 * pair + 1].store(fd);
+    adopt_fd(slot, fd);
     // in_recv_ state survives on purpose: its delivered-prefix state is
     // exactly what suppresses the replayed frames the reconnecting peer
     // is about to resend.  Our own unacked sends replay too — the peer's
@@ -1328,8 +1220,8 @@ void TcpRuntime::Worker::rel_fire_due() {
     }
   }
   for (std::size_t slot = 0; slot < out_channels_.size(); ++slot) {
-    for (const std::uint64_t seq : rel_send_[slot].due(runtime_.now())) {
-      runtime_.metrics_.on_retransmit();
+    for (const std::uint64_t seq :
+         rel_send_[slot].retransmits(runtime_.now())) {
       rel_transmit(slot, seq);
     }
   }
@@ -1377,7 +1269,7 @@ TcpRuntime::TcpRuntime(Topology topology, std::vector<ProcessPtr> processes,
     const auto [it, inserted] = pair_index.try_emplace(
         std::make_pair(a, b), static_cast<std::uint32_t>(pairs_.size()));
     if (inserted) {
-      pairs_.push_back(HostPair{a, b, 0});
+      pairs_.push_back(HostPair{a, b, 0, spec.id});
       pairs_of_process_[a].push_back(it->second);
       if (b != a) pairs_of_process_[b].push_back(it->second);
     }
@@ -1388,6 +1280,10 @@ TcpRuntime::TcpRuntime(Topology topology, std::vector<ProcessPtr> processes,
     metrics_.observe_mux_channels(pair.num_channels);
   }
   pair_fd_ = std::vector<std::atomic<int>>(2 * pairs_.size());
+  if (config_.faults) {
+    link_env_ = LinkEnv{config_.faults.get(), config_.reliable, &metrics_,
+                        config_.replay.get()};
+  }
   for (auto& fd : pair_fd_) fd.store(-1, std::memory_order_relaxed);
 
   Rng root(config_.seed);
@@ -1439,25 +1335,10 @@ bool TcpRuntime::start() {
   // pair-index hello.  Backlogs hold the pending connections until the
   // acceptors drain them below.
   for (std::size_t p = 0; p < pairs_.size(); ++p) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = dial_pair(workers_[pairs_[p].b]->port(),
+                             static_cast<std::uint32_t>(p));
     if (fd < 0) return false;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(workers_[pairs_[p].b]->port());
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      ::close(fd);
-      return false;
-    }
-    const auto pair_index = static_cast<std::uint32_t>(p);
-    std::uint8_t hello[4];
-    std::memcpy(hello, &pair_index, sizeof(pair_index));
-    if (!write_all(fd, hello, sizeof(hello))) {
-      ::close(fd);
-      return false;
-    }
-    apply_pair_socket_options(fd, config_);
-    if (!set_nonblocking(fd)) {
+    if (!prepare_pair_socket(fd, config_)) {
       ::close(fd);
       return false;
     }

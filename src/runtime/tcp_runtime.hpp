@@ -38,6 +38,7 @@
 #include "net/fault_plan.hpp"
 #include "net/process.hpp"
 #include "net/reliable.hpp"
+#include "net/reliable_link.hpp"
 #include "net/replay_hooks.hpp"
 #include "net/topology.hpp"
 #include "net/transport_hooks.hpp"
@@ -133,7 +134,7 @@ class TcpRuntime {
   [[nodiscard]] std::uint64_t poll_iterations() const;
 
  private:
-  friend class TcpProcessContext;
+  template <typename> friend class WorkerContext;
   class Worker;
 
   // An unordered process pair with at least one channel; exactly one TCP
@@ -143,6 +144,9 @@ class TcpRuntime {
     std::uint32_t a = 0;
     std::uint32_t b = 0;
     std::uint32_t num_channels = 0;
+    // The pair's lowest-numbered channel: the one a reconnect annotation
+    // names for the whole socket.
+    ChannelId first_channel;
   };
 
   void do_send(ProcessId sender, ChannelId channel, Message message);
@@ -150,6 +154,8 @@ class TcpRuntime {
   Topology topology_;
   TcpRuntimeConfig config_;
   obs::MetricsRegistry metrics_;
+  // Shared by every worker's link halves; set only when config_.faults.
+  LinkEnv link_env_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<HostPair> pairs_;
   std::vector<std::uint32_t> channel_pair_;  // ChannelId -> pair index

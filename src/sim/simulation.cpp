@@ -111,13 +111,15 @@ Simulation::Simulation(Topology topology, std::vector<ProcessPtr> processes,
   channel_in_flight_.assign(topology_.num_channels(), 0);
   channel_send_seq_.assign(topology_.num_channels(), 0);
   if (config_.faults) {
-    rel_send_.assign(topology_.num_channels(),
-                     ReliableSender(config_.reliable));
-    rel_recv_.assign(topology_.num_channels(), ReliableReceiver());
-    channel_attempts_.assign(topology_.num_channels(), 0);
-    channel_ack_attempts_.assign(topology_.num_channels(), 0);
+    link_env_ = LinkEnv{config_.faults.get(), config_.reliable, &metrics_,
+                        nullptr};
+    rel_send_.reserve(topology_.num_channels());
+    rel_recv_.reserve(topology_.num_channels());
+    for (const ChannelSpec& spec : topology_.channels()) {
+      rel_send_.emplace_back(link_env_, spec.id);
+      rel_recv_.emplace_back(link_env_, spec.id);
+    }
     retry_pending_.assign(topology_.num_channels(), 0);
-    reconnect_pending_.assign(topology_.num_channels(), 0);
   }
 
   // Schedule on_start for every process at t=0, in id order.
@@ -542,15 +544,11 @@ void Simulation::dispatch(Lane* lane, Event& event) {
       retry_pending_[event.channel.value()] = 0;
       check_retries(lane, at, event.channel);
       break;
-    case Event::Kind::kRelRestore: {
-      const std::size_t c = event.channel.value();
-      reconnect_pending_[c] = 0;
-      metrics_.on_reconnect();
-      const std::size_t replayed = rel_send_[c].mark_all_due(at);
-      metrics_.on_resync_replayed(replayed);
+    case Event::Kind::kRelRestore:
+      link_env_.on_reconnect(event.channel);
+      rel_send_[event.channel.value()].resync(at);
       check_retries(lane, at, event.channel);
       break;
-    }
   }
 }
 
@@ -658,71 +656,38 @@ Duration Simulation::sample_latency(ChannelId channel, std::uint64_t key) {
 
 void Simulation::transmit_frame(Lane* lane, TimePoint at, ChannelId channel,
                                 std::uint64_t seq) {
-  const std::size_t c = channel.value();
-  const ReliableSender::Staged* staged = rel_send_[c].peek(seq);
-  if (staged == nullptr) return;  // acked while a retry was queued
-  const std::uint64_t attempt = channel_attempts_[c]++;
-  const FaultDecision fault = config_.faults->decide(channel, attempt);
-  Duration delay = sample_latency(channel, attempt);
-
-  switch (fault.kind) {
-    case FaultKind::kDrop:
-    case FaultKind::kPartition:
-      metrics_.on_fault(fault_index(fault.kind));
-      return;  // frame vanishes; the retransmit timer recovers
-    case FaultKind::kReset: {
-      metrics_.on_fault(fault_index(fault.kind));
-      metrics_.on_channel_down();
-      // The frame is lost with the connection.  Model reconnection as a
-      // delayed resync: once the channel is back, every unacked frame is
-      // replayed (at most one reconnect in flight per channel).  The
-      // resync is sender-side work, so it rides a kRelRestore event
-      // targeting the channel source — never a serial barrier.
-      if (reconnect_pending_[c] != 0) return;
-      reconnect_pending_[c] = 1;
-      auto restore = std::make_unique<Event>();
-      restore->when = at + config_.reliable.rto_initial;
-      restore->kind = Event::Kind::kRelRestore;
-      restore->target = topology_.channel(channel).source;
-      restore->channel = channel;
-      emit_child(lane, std::move(restore));
-      return;
-    }
-    case FaultKind::kDuplicate: {
-      metrics_.on_fault(fault_index(fault.kind));
-      // Second copy rides a delay drawn from the ack stream's key space so
-      // it is independent of (and often overtakes) the first.
-      const Duration dup_delay =
-          sample_latency(channel, attempt ^ 0x8000000000000000ULL);
-      auto dup = std::make_unique<Event>();
-      dup->when = at + dup_delay;
-      dup->kind = Event::Kind::kRelFrame;
-      dup->target = topology_.channel(channel).destination;
-      dup->channel = channel;
-      dup->rel_seq = seq;
-      dup->message = staged->message;
-      dup->wire_bytes = static_cast<std::uint32_t>(staged->meta);
-      emit_child(lane, std::move(dup));
-      break;
-    }
-    case FaultKind::kReorder:
-    case FaultKind::kDelay:
-      metrics_.on_fault(fault_index(fault.kind));
-      delay = delay + fault.extra_delay;
-      break;
-    case FaultKind::kNone:
-      break;
+  const auto tx = rel_send_[channel.value()].transmit(seq);
+  if (!tx.has_value()) return;  // acked while a retry was queued
+  const auto frame_event = [&](Duration delay) {
+    auto event = std::make_unique<Event>();
+    event->when = at + delay;
+    event->kind = Event::Kind::kRelFrame;
+    event->target = topology_.channel(channel).destination;
+    event->channel = channel;
+    event->rel_seq = seq;
+    event->message = tx->frame->message;
+    event->wire_bytes = static_cast<std::uint32_t>(tx->frame->meta);
+    emit_child(lane, std::move(event));
+  };
+  if (tx->redial) {
+    // Model reconnection as a delayed resync of the whole window.  The
+    // resync is sender-side work, so it rides a kRelRestore event
+    // targeting the channel source — never a serial barrier.
+    auto restore = std::make_unique<Event>();
+    restore->when = at + config_.reliable.rto_initial;
+    restore->kind = Event::Kind::kRelRestore;
+    restore->target = topology_.channel(channel).source;
+    restore->channel = channel;
+    emit_child(lane, std::move(restore));
   }
-
-  auto event = std::make_unique<Event>();
-  event->when = at + delay;
-  event->kind = Event::Kind::kRelFrame;
-  event->target = topology_.channel(channel).destination;
-  event->channel = channel;
-  event->rel_seq = seq;
-  event->message = staged->message;
-  event->wire_bytes = static_cast<std::uint32_t>(staged->meta);
-  emit_child(lane, std::move(event));
+  if (tx->copies == 2) {
+    // The second copy rides a delay drawn from its own key space so it is
+    // independent of (and often overtakes) the first.
+    frame_event(sample_latency(channel, tx->attempt ^ 0x8000000000000000ULL));
+  }
+  if (tx->copies > 0) {
+    frame_event(sample_latency(channel, tx->attempt) + tx->extra_delay);
+  }
 }
 
 void Simulation::schedule_retry_check(Lane* lane, TimePoint at,
@@ -741,53 +706,34 @@ void Simulation::schedule_retry_check(Lane* lane, TimePoint at,
 }
 
 void Simulation::check_retries(Lane* lane, TimePoint at, ChannelId channel) {
-  const std::size_t c = channel.value();
-  for (const std::uint64_t seq : rel_send_[c].due(at)) {
-    metrics_.on_retransmit();
+  for (const std::uint64_t seq : rel_send_[channel.value()].retransmits(at)) {
     transmit_frame(lane, at, channel, seq);
   }
   schedule_retry_check(lane, at, channel);
 }
 
-void Simulation::send_ack(Lane* lane, TimePoint at, ChannelId channel) {
-  const std::size_t c = channel.value();
-  const std::uint64_t attempt = channel_ack_attempts_[c]++;
-  const FaultDecision fault = config_.faults->decide_ack(channel, attempt);
-  if (fault.kind == FaultKind::kDrop) {
-    metrics_.on_fault(fault_index(fault.kind));
-    return;  // a later (re)transmission elicits a fresh ack
-  }
-  Duration delay =
-      sample_latency(channel, attempt ^ 0x4000000000000000ULL);
-  if (fault.kind == FaultKind::kDelay) {
-    metrics_.on_fault(fault_index(fault.kind));
-    delay = delay + fault.extra_delay;
-  }
-  auto event = std::make_unique<Event>();
-  event->when = at + delay;
-  event->kind = Event::Kind::kRelAck;
-  event->target = topology_.channel(channel).source;
-  event->channel = channel;
-  event->rel_seq = rel_recv_[c].cum_ack();
-  emit_child(lane, std::move(event));
-}
-
 void Simulation::on_rel_frame(Lane* lane, Event& event) {
-  const std::size_t c = event.channel.value();
+  LinkReceiver& receiver = rel_recv_[event.channel.value()];
   std::vector<ReliableReceiver::Delivery> released;
-  const auto accept = rel_recv_[c].on_frame(
-      event.rel_seq, std::move(event.message), event.wire_bytes, released);
-  if (accept == ReliableReceiver::Accept::kDuplicate) {
-    metrics_.on_dup_suppressed();
-  }
+  receiver.on_frame(event.rel_seq, std::move(event.message), event.wire_bytes,
+                    released);
   for (auto& delivery : released) {
     release_delivery(lane, event.when, event.channel, event.target,
                      std::move(delivery.message),
                      static_cast<std::uint32_t>(delivery.meta));
   }
-  // Ack every arrival, duplicates included: a re-ack is what stops the
-  // sender retransmitting a frame whose ack was lost.
-  send_ack(lane, event.when, event.channel);
+  const auto ack = receiver.ack();
+  if (!ack.has_value()) return;
+  auto reply = std::make_unique<Event>();
+  reply->when = event.when +
+                sample_latency(event.channel,
+                               ack->attempt ^ 0x4000000000000000ULL) +
+                ack->extra_delay;
+  reply->kind = Event::Kind::kRelAck;
+  reply->target = topology_.channel(event.channel).source;
+  reply->channel = event.channel;
+  reply->rel_seq = ack->cum_ack;
+  emit_child(lane, std::move(reply));
 }
 
 void Simulation::release_delivery(Lane* lane, TimePoint at, ChannelId channel,

@@ -36,6 +36,7 @@
 #include "net/fault_plan.hpp"
 #include "net/process.hpp"
 #include "net/reliable.hpp"
+#include "net/reliable_link.hpp"
 #include "net/topology.hpp"
 #include "net/transport_hooks.hpp"
 #include "sim/latency_model.hpp"
@@ -247,15 +248,15 @@ class Simulation {
   }
 
   // ---- reliability layer (faults != nullptr only) ----
+  // The fault and recovery policy is net/reliable_link's; these schedule
+  // the frames, acks, retries and reconnects it asks for as events.
   [[nodiscard]] Duration sample_latency(ChannelId channel, std::uint64_t key);
-  // One physical transmission attempt of staged frame `seq`, subjected to
-  // the fault plan.
+  // One physical transmission attempt of staged frame `seq`.
   void transmit_frame(Lane* lane, TimePoint at, ChannelId channel,
                       std::uint64_t seq);
   // Retransmit everything due on `channel` and re-arm the retry event.
   void check_retries(Lane* lane, TimePoint at, ChannelId channel);
   void schedule_retry_check(Lane* lane, TimePoint at, ChannelId channel);
-  void send_ack(Lane* lane, TimePoint at, ChannelId channel);
   void on_rel_frame(Lane* lane, Event& event);
   void release_delivery(Lane* lane, TimePoint at, ChannelId channel,
                         ProcessId target, Message message,
@@ -296,12 +297,10 @@ class Simulation {
   // Reliability state, indexed by channel; empty unless config_.faults.
   // Sender-side state is touched only by the channel source's dispatch
   // context, receiver-side only by the destination's.
-  std::vector<ReliableSender> rel_send_;
-  std::vector<ReliableReceiver> rel_recv_;
-  std::vector<std::uint64_t> channel_attempts_;      // data fault stream
-  std::vector<std::uint64_t> channel_ack_attempts_;  // ack fault stream
-  std::vector<char> retry_pending_;      // a kRelRetry event is queued
-  std::vector<char> reconnect_pending_;  // a post-reset resync is queued
+  LinkEnv link_env_;
+  std::vector<LinkSender> rel_send_;
+  std::vector<LinkReceiver> rel_recv_;
+  std::vector<char> retry_pending_;  // a kRelRetry event is queued
 
   // Parallel engine state; lanes_ is sized on first parallel run (deque:
   // lanes hold move-only staging state and never relocate).

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -252,6 +253,75 @@ TEST(ReplayTcp, ChaosRunReplaysAsFaultFreeEquivalent) {
   ReplayDriver::Report second = replay_ring(log, n);
   EXPECT_EQ(first.describe(), second.describe());
   EXPECT_EQ(first.metrics_json, second.metrics_json);
+}
+
+// Every reconnect annotation names a channel, never a connection index: on
+// TCP one socket carries a process pair's channels, so the annotation names
+// one of them, and that pair must also carry the reset that caused it.
+// Resets are confined to p2 -> p1 of a complete graph, whose pair index (2)
+// is also the id of a channel on another pair (p1 -> p0), so a pair index
+// in the channel field cannot pass.
+TEST(ReplayTcp, ReconnectAnnotationsNameAResetChannel) {
+  const Topology users = Topology::complete(3);
+  const ChannelId reset_channel(5);
+  ASSERT_EQ(users.channel(reset_channel).source, ProcessId(2));
+  ASSERT_EQ(users.channel(reset_channel).destination, ProcessId(1));
+  auto plan = FaultPlan::parse("drop=0.02,dup=0.02", 7);
+  ASSERT_TRUE(plan.ok());
+  FaultSpec resets = plan.value().spec_for(reset_channel);
+  resets.reset = 0.05;
+  plan.value().set_channel(reset_channel, resets);
+
+  ReplayLogHeader header = ring_header(3, "tcp", 7);
+  header.num_channels =
+      static_cast<std::uint32_t>(users.with_debugger().num_channels());
+  auto recorder = std::make_shared<ReplayRecorder>(header);
+  HarnessConfig config;
+  config.seed = 7;
+  config.faults = std::make_shared<FaultPlan>(std::move(plan).value());
+  config.replay = recorder;
+  GossipConfig gossip;
+  gossip.send_interval = Duration::millis(1);
+  TcpDebugHarness harness(users, make_gossip(3, gossip), std::move(config));
+  ASSERT_TRUE(harness.start());
+  ASSERT_TRUE(TcpRuntime::wait_until(
+      [&] {
+        return harness.tcp().metrics().snapshot().transport.reconnects >= 2;
+      },
+      kWait));
+  harness.shutdown();
+
+  const Topology& topology = harness.topology();
+  const auto endpoints = [&](std::uint32_t channel) {
+    const ChannelSpec& spec = topology.channel(ChannelId(channel));
+    const std::uint32_t a = spec.source.value();
+    const std::uint32_t b = spec.destination.value();
+    return std::make_pair(std::min(a, b), std::max(a, b));
+  };
+  const ReplayLog log = recorder->log();
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> reset_pairs;
+  for (const ReplayRecord& record : log.records) {
+    if (record.kind == ReplayRecordKind::kAnnotation &&
+        record.annotation == fault_index(FaultKind::kReset)) {
+      EXPECT_EQ(record.channel, reset_channel.value());
+      reset_pairs.push_back(endpoints(record.channel));
+    }
+  }
+  std::size_t reconnects = 0;
+  for (const ReplayRecord& record : log.records) {
+    if (record.kind != ReplayRecordKind::kAnnotation ||
+        record.annotation != kReplayAnnotationReconnect) {
+      continue;
+    }
+    ++reconnects;
+    ASSERT_LT(record.channel, topology.num_channels());
+    EXPECT_NE(std::find(reset_pairs.begin(), reset_pairs.end(),
+                        endpoints(record.channel)),
+              reset_pairs.end())
+        << "reconnect on channel " << record.channel
+        << " without a reset on its process pair";
+  }
+  EXPECT_GE(reconnects, 2u);
 }
 
 // ---------------------------------------------------------------------------
