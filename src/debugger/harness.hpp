@@ -42,7 +42,8 @@ class SimHost final : public SessionHost {
 };
 
 // Session adapter for the threaded substrates (Runtime, TcpRuntime): posts
-// cross to the target process's thread, waits sleep-poll on the caller's.
+// cross to the target process's thread, waits block on the caller's until
+// worker progress (or the 200 us backstop) makes them re-check.
 template <typename Substrate>
 class ThreadedHost final : public SessionHost {
  public:

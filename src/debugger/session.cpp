@@ -72,14 +72,23 @@ void DebuggerSession::halt() {
 
 std::optional<DebuggerProcess::WaveInfo> DebuggerSession::wait_for_halt(
     Duration timeout) {
+  std::optional<DebuggerProcess::WaveInfo> wave;
   const bool complete = host_.wait(
-      [this] { return debugger_.latest_halt_complete(); }, timeout);
+      [this, &wave] {
+        if (!debugger_.latest_halt_complete()) return false;
+        // A newer wave (a second halt, a breakpoint) may start between the
+        // two reads; only a complete one is an answer.
+        wave = debugger_.latest_halt_wave();
+        return wave.has_value() && wave->complete;
+      },
+      timeout);
   if (!complete) return std::nullopt;
-  return debugger_.latest_halt_wave();
+  return wave;
 }
 
-void DebuggerSession::resume(Duration timeout) {
-  call([this](ProcessContext& ctx) { debugger_.resume_all(ctx); }, timeout);
+bool DebuggerSession::resume(Duration timeout) {
+  return call([this](ProcessContext& ctx) { debugger_.resume_all(ctx); },
+              timeout);
 }
 
 std::optional<DebuggerProcess::WaveInfo> DebuggerSession::take_snapshot(

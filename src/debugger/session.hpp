@@ -70,8 +70,9 @@ class DebuggerSession {
   std::optional<DebuggerProcess::WaveInfo> wait_for_halt(Duration timeout);
   // Resume the halted computation.  Returns once the debugger has issued
   // the resume commands, so a following wait_for_halt() refers to the next
-  // wave, not the one just resumed.
-  void resume(Duration timeout = Duration::seconds(5));
+  // wave, not the one just resumed; false if the debugger did not run the
+  // request within `timeout` (the computation may still be halted).
+  bool resume(Duration timeout = Duration::seconds(5));
 
   // ---- recording (C&L, monitor-only) ----
   std::optional<DebuggerProcess::WaveInfo> take_snapshot(Duration timeout);

@@ -415,7 +415,15 @@ SessionResponse SessionServer::handle(Client& client,
     }
     case SessionOp::kResume: {
       std::lock_guard<std::mutex> wave_guard{wave_mutex_};
-      session.resume(timeout);
+      if (!session.resume(timeout)) {
+        // The debugger never ran the resume: the computation may still be
+        // halted, so the halt stays owned.
+        return SessionResponse::failure(
+            request.req_id,
+            Error(ErrorCode::kTimeout,
+                  "resume was not acknowledged within " +
+                      std::to_string(timeout.ns / 1'000'000) + "ms"));
+      }
       {
         std::lock_guard<std::mutex> guard{mutex_};
         halt_owner_ = 0;

@@ -261,6 +261,7 @@ void Runtime::Worker::thread_main() {
       runtime_.metrics_.on_deliver_batch(deliveries);
     }
     batch.clear();
+    progress_signal().notify();
   }
 }
 
@@ -335,8 +336,7 @@ void Runtime::Worker::rel_arm_retry(ChannelId channel) {
   const std::size_t c = channel.value();
   const auto deadline = runtime_.rel_send_[c].next_deadline();
   if (!deadline.has_value()) return;
-  const auto when =
-      runtime_.epoch_ + std::chrono::nanoseconds(deadline->ns);
+  const auto when = runtime_.clock_.at(*deadline);
   if (runtime_.retry_arm_[c] <= when) return;  // an earlier check covers it
   runtime_.retry_arm_[c] = when;
   schedule_internal(when, [this, channel] { rel_check_retries(channel); });
@@ -410,14 +410,13 @@ Runtime::Runtime(Topology topology, std::vector<ProcessPtr> processes,
         *this, ProcessId(static_cast<std::uint32_t>(i)),
         std::move(processes[i]), root.fork()));
   }
-  epoch_ = SteadyClock::now();
 }
 
 Runtime::~Runtime() { shutdown(); }
 
 void Runtime::start() {
   DDBG_ASSERT(!started_.exchange(true), "Runtime::start called twice");
-  epoch_ = SteadyClock::now();
+  clock_.reset();
   for (auto& worker : workers_) worker->start();
 }
 
@@ -428,8 +427,7 @@ void Runtime::shutdown() {
 
 void Runtime::post(ProcessId target,
                    std::function<void(ProcessContext&, Process&)> action) {
-  DDBG_ASSERT(target.value() < workers_.size(), "unknown process");
-  workers_[target.value()]->push_closure(std::move(action));
+  worker_of(workers_, target).push_closure(std::move(action));
 }
 
 bool Runtime::call(ProcessId target,
@@ -446,26 +444,8 @@ bool Runtime::call(ProcessId target,
          std::future_status::ready;
 }
 
-bool Runtime::wait_until(const std::function<bool()>& condition,
-                         Duration timeout) {
-  const auto deadline =
-      SteadyClock::now() + std::chrono::nanoseconds(timeout.ns);
-  while (!condition()) {
-    if (SteadyClock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  return true;
-}
-
 Process& Runtime::process(ProcessId id) {
-  DDBG_ASSERT(id.value() < workers_.size(), "unknown process");
-  return workers_[id.value()]->process();
-}
-
-TimePoint Runtime::now() const {
-  const auto elapsed = SteadyClock::now() - epoch_;
-  return TimePoint{
-      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()};
+  return worker_of(workers_, id).process();
 }
 
 void Runtime::do_send(ProcessId sender, ChannelId channel, Message message) {

@@ -31,6 +31,7 @@
 #include "net/replay_hooks.hpp"
 #include "net/topology.hpp"
 #include "net/transport_hooks.hpp"
+#include "runtime/worker.hpp"
 
 namespace ddbg {
 
@@ -77,10 +78,14 @@ class Runtime {
             std::function<void(ProcessContext&, Process&)> action,
             Duration timeout);
 
-  // Spin-poll `condition` (evaluated on the caller's thread) until it holds
-  // or `timeout` elapses.
+  // Block until `condition` (evaluated on the caller's thread) holds or
+  // `timeout` elapses; false on timeout.  Woken by worker progress on any
+  // threaded runtime (ProgressSignal, runtime/worker.hpp), re-checked at
+  // least every 200 us for conditions other threads flip.
   static bool wait_until(const std::function<bool()>& condition,
-                         Duration timeout);
+                         Duration timeout) {
+    return progress_signal().wait_until(condition, timeout);
+  }
 
   [[nodiscard]] const Topology& topology() const { return topology_; }
   [[nodiscard]] Process& process(ProcessId id);
@@ -91,7 +96,7 @@ class Runtime {
   [[nodiscard]] const obs::MetricsRegistry& metrics() const {
     return metrics_;
   }
-  [[nodiscard]] TimePoint now() const;
+  [[nodiscard]] TimePoint now() const { return clock_.now(); }
 
  private:
   template <typename> friend class WorkerContext;
@@ -116,7 +121,7 @@ class Runtime {
   std::atomic<std::uint32_t> next_timer_id_{1};
   std::atomic<bool> started_{false};
   std::atomic<bool> stopped_{false};
-  std::chrono::steady_clock::time_point epoch_;
+  RuntimeClock clock_;
 };
 
 }  // namespace ddbg

@@ -833,6 +833,7 @@ void TcpRuntime::Worker::thread_main() {
     if (frames_this_wakeup_ > 0) {
       runtime_.metrics_.observe_frames_per_wakeup(frames_this_wakeup_);
     }
+    progress_signal().notify();
   }
   flush_sends();
 }
@@ -1237,7 +1238,7 @@ SteadyClock::time_point TcpRuntime::Worker::rel_next_deadline() const {
   }
   for (const auto& sender : rel_send_) {
     if (const auto next = sender.next_deadline()) {
-      const auto when = runtime_.epoch_ + std::chrono::nanoseconds(next->ns);
+      const auto when = runtime_.clock_.at(*next);
       if (when < deadline) deadline = when;
     }
   }
@@ -1293,7 +1294,6 @@ TcpRuntime::TcpRuntime(Topology topology, std::vector<ProcessPtr> processes,
         *this, ProcessId(static_cast<std::uint32_t>(i)),
         std::move(processes[i]), root.fork()));
   }
-  epoch_ = SteadyClock::now();
 }
 
 TcpRuntime::~TcpRuntime() {
@@ -1347,7 +1347,7 @@ bool TcpRuntime::start() {
   for (auto& worker : workers_) {
     if (!worker->accept_inbound()) return false;
   }
-  epoch_ = SteadyClock::now();
+  clock_.reset();
   for (auto& worker : workers_) worker->start();
   return true;
 }
@@ -1368,30 +1368,11 @@ void TcpRuntime::shutdown() {
 
 void TcpRuntime::post(ProcessId target,
                       std::function<void(ProcessContext&, Process&)> action) {
-  DDBG_ASSERT(target.value() < workers_.size(), "unknown process");
-  workers_[target.value()]->push_closure(std::move(action));
-}
-
-bool TcpRuntime::wait_until(const std::function<bool()>& condition,
-                            Duration timeout) {
-  const auto deadline =
-      SteadyClock::now() + std::chrono::nanoseconds(timeout.ns);
-  while (!condition()) {
-    if (SteadyClock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::microseconds(300));
-  }
-  return true;
+  worker_of(workers_, target).push_closure(std::move(action));
 }
 
 Process& TcpRuntime::process(ProcessId id) {
-  DDBG_ASSERT(id.value() < workers_.size(), "unknown process");
-  return workers_[id.value()]->process();
-}
-
-TimePoint TcpRuntime::now() const {
-  const auto elapsed = SteadyClock::now() - epoch_;
-  return TimePoint{
-      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()};
+  return worker_of(workers_, id).process();
 }
 
 void TcpRuntime::do_send(ProcessId sender, ChannelId channel,

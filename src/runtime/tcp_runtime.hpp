@@ -42,6 +42,7 @@
 #include "net/replay_hooks.hpp"
 #include "net/topology.hpp"
 #include "net/transport_hooks.hpp"
+#include "runtime/worker.hpp"
 
 namespace ddbg {
 
@@ -93,8 +94,12 @@ class TcpRuntime {
   void post(ProcessId target,
             std::function<void(ProcessContext&, Process&)> action);
 
+  // The same wait as Runtime::wait_until: blocks on the process-wide
+  // ProgressSignal, which every threaded runtime's workers notify.
   static bool wait_until(const std::function<bool()>& condition,
-                         Duration timeout);
+                         Duration timeout) {
+    return progress_signal().wait_until(condition, timeout);
+  }
 
   [[nodiscard]] const Topology& topology() const { return topology_; }
   [[nodiscard]] Process& process(ProcessId id);
@@ -105,7 +110,7 @@ class TcpRuntime {
   [[nodiscard]] const obs::MetricsRegistry& metrics() const {
     return metrics_;
   }
-  [[nodiscard]] TimePoint now() const;
+  [[nodiscard]] TimePoint now() const { return clock_.now(); }
 
   // Port of the debugger-session control listener; 0 when
   // on_control_accept is unset or start() has not run.
@@ -171,7 +176,7 @@ class TcpRuntime {
   std::atomic<std::uint32_t> next_timer_id_{1};
   std::atomic<bool> started_{false};
   std::atomic<bool> stopped_{false};
-  std::chrono::steady_clock::time_point epoch_;
+  RuntimeClock clock_;
 };
 
 }  // namespace ddbg

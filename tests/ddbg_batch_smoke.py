@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Batch debugger sessions against a live token ring.
+
+Starts ddbg_target's ring workload, runs the scripted command cycle in
+examples/smoke.ddbg through `ddbg --batch`, then four concurrent sessions
+that each inspect, halt, read the state and resume.  Each session must
+exit 0 (its --assert substrings found) and print a halt and a resume.
+Finally the target is stopped through its stop file and the metrics JSON it
+writes is checked with tools/validate_metrics.py.
+
+Usage:  ddbg_batch_smoke.py DDBG_TARGET DDBG SMOKE_SCRIPT VALIDATE_METRICS WORKDIR
+"""
+import os
+import shutil
+import subprocess
+import sys
+
+SESSIONS = 4
+
+
+def ddbg(binary, port_file, script, asserts):
+    cmd = [binary, "--port-file", port_file, "--batch", script]
+    for text in asserts:
+        cmd += ["--assert", text]
+    return subprocess.Popen(cmd, stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT, text=True)
+
+
+def finish(proc, name):
+    out, _ = proc.communicate(timeout=120)
+    if proc.returncode != 0:
+        sys.exit("ddbg_batch_smoke: %s exited %d:\n%s"
+                 % (name, proc.returncode, out))
+    return out
+
+
+def main():
+    if len(sys.argv) != 6:
+        sys.exit(__doc__)
+    target_bin, ddbg_bin, smoke, validator, workdir = sys.argv[1:]
+    shutil.rmtree(workdir, ignore_errors=True)
+    os.makedirs(workdir)
+    port_file = os.path.join(workdir, "port")
+    stop_file = os.path.join(workdir, "stop")
+    metrics = os.path.join(workdir, "metrics.json")
+
+    target = subprocess.Popen(
+        [target_bin, "--workload", "ring", "--n", "6",
+         "--port-file", port_file, "--stop-file", stop_file,
+         "--run-for", "120", "--metrics-out", metrics])
+    try:
+        finish(ddbg(ddbg_bin, port_file, smoke,
+                    ["halted: wave", "no deadlock", "resumed"]), "smoke.ddbg")
+        clients = []
+        for i in range(SESSIONS):
+            script = os.path.join(workdir, "session_%d.ddbg" % i)
+            with open(script, "w") as f:
+                f.write("inspect %d\nhalt\nstate\nresume\nquit\n" % i)
+            clients.append(ddbg(ddbg_bin, port_file, script,
+                                ["halted: wave"]))
+        for i, client in enumerate(clients):
+            out = finish(client, "session %d" % i)
+            if "resumed" not in out:
+                sys.exit("ddbg_batch_smoke: session %d did not resume:\n%s"
+                         % (i, out))
+        open(stop_file, "w").close()
+        if target.wait(timeout=60) != 0:
+            sys.exit("ddbg_batch_smoke: ddbg_target exited %d"
+                     % target.returncode)
+    finally:
+        if target.poll() is None:
+            target.kill()
+            target.wait()
+    subprocess.run([sys.executable, validator, metrics], check=True,
+                   timeout=60)
+
+
+if __name__ == "__main__":
+    main()

@@ -12,6 +12,7 @@
 
 #include "analysis/consistency.hpp"
 #include "debugger/harness.hpp"
+#include "tests/test_util.hpp"
 #include "workload/behaviors.hpp"
 
 namespace ddbg {
@@ -186,6 +187,43 @@ TEST(Runtime, ShutdownIsIdempotentAndSafe) {
 // instead of sleeping and hoping the scheduler ran it.
 const GossipProcess& gossip_at(RuntimeDebugHarness& harness, std::uint32_t p) {
   return dynamic_cast<const GossipProcess&>(harness.shim(ProcessId(p)).user());
+}
+
+// ---------------------------------------------------------------------------
+// Runtime::wait_until: woken by worker progress, backstopped for other
+// threads (bodies in tests/test_util.hpp).
+// ---------------------------------------------------------------------------
+
+TEST(RuntimeWait, PostedClosuresWakeWaiter) {
+  Runtime runtime(Topology(1),
+                  testing::single_process(std::make_unique<Counter>()));
+  runtime.start();
+  testing::check_posted_closures_wake_waiter(runtime, 10'000);
+  runtime.shutdown();
+}
+
+TEST(RuntimeWait, NonWorkerFlipObserved) {
+  Runtime runtime(Topology(1),
+                  testing::single_process(std::make_unique<Counter>()));
+  runtime.start();  // idle: no worker progress wakes the waiter
+  testing::check_non_worker_flip_observed<Runtime>();
+  runtime.shutdown();
+}
+
+TEST(RuntimeWait, NeverHoldingConditionTimesOutNotEarly) {
+  Runtime runtime(Topology(1), testing::single_process(
+                                   std::make_unique<testing::Metronome>()));
+  runtime.start();
+  testing::check_timeout_not_early<Runtime>();
+  runtime.shutdown();
+}
+
+TEST(RuntimeWait, TwoWaitersBothWake) {
+  Runtime runtime(Topology(1),
+                  testing::single_process(std::make_unique<Counter>()));
+  runtime.start();
+  testing::check_two_waiters_both_wake(runtime);
+  runtime.shutdown();
 }
 
 TEST(RuntimeDebugger, HaltGossipConsistently) {

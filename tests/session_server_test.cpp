@@ -3,6 +3,7 @@
 // mid-halt must never leave the target halted forever).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -125,13 +126,28 @@ TEST(SessionRepl, RejectsMalformedLines) {
 
 // A host that drops every post: the debugger never acknowledges the arm,
 // so the Result must be kTimeout — not the old kInvalidArgument conflation.
+// Built over an inner host, it forwards until set_dropping(true).
 class DroppingHost final : public SessionHost {
  public:
-  void post(ProcessId,
-            std::function<void(ProcessContext&, Process&)>) override {}
-  bool wait(const std::function<bool()>& condition, Duration) override {
+  DroppingHost() = default;
+  explicit DroppingHost(SessionHost& inner)
+      : inner_(&inner), dropping_(false) {}
+
+  void set_dropping(bool dropping) { dropping_.store(dropping); }
+
+  void post(ProcessId target,
+            std::function<void(ProcessContext&, Process&)> action) override {
+    if (!dropping_.load()) inner_->post(target, std::move(action));
+  }
+  bool wait(const std::function<bool()>& condition,
+            Duration timeout) override {
+    if (!dropping_.load()) return inner_->wait(condition, timeout);
     return condition();  // never becomes true; report expiry immediately
   }
+
+ private:
+  SessionHost* inner_ = nullptr;
+  std::atomic<bool> dropping_{true};
 };
 
 TEST(SessionErrors, ParseFailureIsParseErrorWithColumn) {
@@ -297,6 +313,47 @@ TEST(SessionServerTcp, FullCommandCycle) {
 
   EXPECT_TRUE(TcpRuntime::wait_until(
       [&] { return target.server.active_sessions() == 0; }, kWait));
+}
+
+// A resume the debugger never runs is a timeout, not "resumed", and the
+// halt stays owned until a resume goes through.
+TEST(SessionServerTcp, ResumeTimeoutKeepsHaltOwner) {
+  constexpr std::uint32_t kN = 3;
+  TcpDebugHarness harness(Topology::ring(kN),
+                          make_token_ring(kN, TcpTarget::ring_config()),
+                          TcpTarget::make_harness_config(0));
+  TcpHost tcp_host(harness.tcp());
+  DroppingHost host(tcp_host);
+  SessionServer server(
+      host, harness.debugger(), harness.debugger_id(), nullptr,
+      SessionServerConfig{.command_timeout = Duration::seconds(5),
+                          .num_user_processes = kN});
+  harness.tcp().set_control_acceptor(server.acceptor());
+  ASSERT_TRUE(harness.start());
+
+  SessionClient client;
+  ASSERT_TRUE(client.connect(harness.tcp().control_port()).ok());
+  ASSERT_TRUE(client.call(SessionOp::kHello, "test").ok());
+  auto halt = client.call(SessionOp::kHalt);
+  ASSERT_TRUE(halt.ok());
+  ASSERT_TRUE(halt.value().ok()) << halt.value().text;
+  EXPECT_EQ(server.halt_owner(), 1u);
+
+  host.set_dropping(true);
+  auto lost = client.call(SessionOp::kResume);
+  ASSERT_TRUE(lost.ok());
+  ASSERT_FALSE(lost.value().ok()) << lost.value().text;
+  EXPECT_EQ(*lost.value().error_code(), ErrorCode::kTimeout);
+  EXPECT_EQ(server.halt_owner(), 1u);
+
+  host.set_dropping(false);
+  auto resumed = client.call(SessionOp::kResume);
+  ASSERT_TRUE(resumed.ok());
+  ASSERT_TRUE(resumed.value().ok()) << resumed.value().text;
+  EXPECT_EQ(server.halt_owner(), 0u);
+
+  server.stop();
+  harness.shutdown();
 }
 
 TEST(SessionServerTcp, DeadlockVerdictOnResourceRing) {

@@ -18,6 +18,7 @@
 #include "debugger/harness.hpp"  // TcpHost session adapter
 #include "debugger/session.hpp"
 #include "runtime/tcp_runtime.hpp"
+#include "tests/test_util.hpp"
 #include "workload/behaviors.hpp"
 
 namespace ddbg {
@@ -129,6 +130,43 @@ TEST(TcpRuntime, TimersAndPost) {
     ran.store(true);
   });
   EXPECT_TRUE(TcpRuntime::wait_until([&] { return ran.load(); }, kWait));
+  runtime.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// TcpRuntime::wait_until: woken by reactor progress, backstopped for other
+// threads (bodies in tests/test_util.hpp).
+// ---------------------------------------------------------------------------
+
+TEST(TcpRuntimeWait, PostedClosuresWakeWaiter) {
+  TcpRuntime runtime(Topology(1),
+                     testing::single_process(std::make_unique<Counter>()));
+  ASSERT_TRUE(runtime.start());
+  testing::check_posted_closures_wake_waiter(runtime, 10'000);
+  runtime.shutdown();
+}
+
+TEST(TcpRuntimeWait, NonWorkerFlipObserved) {
+  TcpRuntime runtime(Topology(1),
+                     testing::single_process(std::make_unique<Counter>()));
+  ASSERT_TRUE(runtime.start());  // idle: the reactor sleeps in epoll_wait
+  testing::check_non_worker_flip_observed<TcpRuntime>();
+  runtime.shutdown();
+}
+
+TEST(TcpRuntimeWait, NeverHoldingConditionTimesOutNotEarly) {
+  TcpRuntime runtime(Topology(1), testing::single_process(
+                                      std::make_unique<testing::Metronome>()));
+  ASSERT_TRUE(runtime.start());
+  testing::check_timeout_not_early<TcpRuntime>();
+  runtime.shutdown();
+}
+
+TEST(TcpRuntimeWait, TwoWaitersBothWake) {
+  TcpRuntime runtime(Topology(1),
+                     testing::single_process(std::make_unique<Counter>()));
+  ASSERT_TRUE(runtime.start());
+  testing::check_two_waiters_both_wake(runtime);
   runtime.shutdown();
 }
 

@@ -233,9 +233,11 @@ int main(int argc, char** argv) {
                    saved.error().message().c_str());
     }
   }
+  // Snapshot after the workers are joined: a running reactor can have
+  // counted a delivery but not yet its batch.
+  harness.shutdown();
   const std::string metrics_json =
       harness.tcp().metrics().snapshot(harness.tcp().now()).to_json();
-  harness.shutdown();
 
   if (!opt.metrics_out.empty()) {
     std::ofstream out(opt.metrics_out);
