@@ -609,6 +609,52 @@ TEST(ChaosSim, ParallelMatchesSequentialUnderMixedFaults) {
   EXPECT_EQ(fingerprint(par), kPinnedFingerprint) << "workers=4";
 }
 
+// The fault-free tier halt path, pinned the same way.  Constant latency
+// makes most events share their `when` with others, so this run depends on
+// the (when, seq) tie order that the event heap must keep, and the halt
+// waves exercise the per-in-channel done/record bookkeeping of every
+// process.  FNV-1a over the metrics JSON, events_processed(), the final
+// now() and each wave's encoded S_h, captured on the tree before the event
+// heap and the dense in-channel slots replaced priority_queue and the
+// per-channel hash maps.
+TEST(ChaosSim, TierHaltCyclesMatchPinnedFingerprint) {
+  constexpr std::uint64_t kPinnedFingerprint = 17262855793532433234ULL;
+  const auto run = [](std::uint32_t workers) {
+    GossipConfig gossip;
+    HarnessConfig config;
+    config.seed = 9;
+    config.workers = workers;
+    config.debugger_fanout = 16;
+    config.latency = std::make_unique<ConstantLatency>(Duration::millis(1));
+    SimDebugHarness harness(Topology::tree(256, 2), make_gossip(256, gossip),
+                            std::move(config));
+    std::string text;
+    for (int cycle = 0; cycle < 3; ++cycle) {
+      harness.sim().run_for(Duration::millis(7));
+      harness.session().halt();
+      auto wave = harness.session().wait_for_halt(kWait);
+      EXPECT_TRUE(wave.has_value());
+      if (!wave.has_value()) break;
+      EXPECT_TRUE(wave->complete);
+      EXPECT_EQ(wave->state.size(), 256u);
+      const Bytes cut = wave->state.encode_snapshots();
+      text += std::to_string(replay_payload_hash(cut)) + "|";
+      EXPECT_TRUE(harness.session().resume());
+    }
+    Simulation& sim = harness.sim();
+    text += sim.metrics().snapshot(sim.now()).to_json() + "|" +
+            std::to_string(sim.events_processed()) + "|" +
+            std::to_string(sim.now().ns);
+    return replay_payload_hash(std::span<const std::uint8_t>(
+        reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
+  };
+  const std::uint64_t seq = run(1);
+  const std::uint64_t par = run(4);
+  EXPECT_EQ(seq, par);
+  EXPECT_EQ(seq, kPinnedFingerprint) << "workers=1";
+  EXPECT_EQ(par, kPinnedFingerprint) << "workers=4";
+}
+
 // Same equivalence through the full debugger harness: halt wave verdict,
 // consistent cut and metrics must be identical with parallel simulation
 // underneath the session machinery.
