@@ -147,6 +147,7 @@ void DebugShim::on_start(ProcessContext& ctx) {
   bind(ctx);
   topology_ = &ctx.topology();
   DDBG_ASSERT(ctx.self() == self_, "shim bound to the wrong process slot");
+  delivery_ordinals_.resize(topology_->in_channels(self_).size(), 0);
 
   const bool suppress = options_.suppress_redundant_markers;
   halting_.emplace(
@@ -364,7 +365,8 @@ void DebugShim::dispatch(ProcessContext& ctx, ChannelId in, Message message) {
     case MessageKind::kApplication: {
       // The delivery ordinal counts messages actually handed to the user
       // handler on this channel — the replay schedule's unit.
-      const std::uint64_t delivery_ordinal = delivery_ordinals_[in.value()]++;
+      const std::uint64_t delivery_ordinal =
+          delivery_ordinals_[topology_->in_slot(in)]++;
       if (options_.replay_record != nullptr) {
         options_.replay_record->record_delivery(
             self_, in, delivery_ordinal,
@@ -499,7 +501,11 @@ void DebugShim::enter_procedure(std::string_view name) {
 }
 
 void DebugShim::set_var(std::string_view name, std::int64_t value) {
-  vars_[std::string(name)] = value;
+  if (const auto it = vars_.find(name); it != vars_.end()) {
+    it->second = value;
+  } else {
+    vars_.emplace(name, value);
+  }
   LocalEvent event;
   event.kind = LocalEventKind::kStateChange;
   event.name = std::string(name);
@@ -510,7 +516,7 @@ void DebugShim::set_var(std::string_view name, std::int64_t value) {
   emit_event(std::move(event));
 }
 
-std::int64_t DebugShim::var(const std::string& name) const {
+std::int64_t DebugShim::var(std::string_view name) const {
   auto it = vars_.find(name);
   return it != vars_.end() ? it->second : 0;
 }
@@ -640,23 +646,30 @@ void DebugShim::replay_preload_timer_ids(std::vector<TimerId> ids) {
   timer_script_ = std::move(ids);
 }
 
+bool DebugShim::is_incoming(ChannelId c) const {
+  return topology_ != nullptr && c.value() < topology_->num_channels() &&
+         topology_->channel(c).destination == self_;
+}
+
 std::uint64_t DebugShim::replay_deliveries(ChannelId in) const {
-  auto it = delivery_ordinals_.find(in.value());
-  return it != delivery_ordinals_.end() ? it->second : 0;
+  if (!is_incoming(in)) return 0;
+  return delivery_ordinals_[topology_->in_slot(in)];
 }
 
 bool DebugShim::replay_release(ProcessContext& ctx, ChannelId in,
                                std::uint64_t ordinal,
                                std::uint64_t expected_hash) {
+  if (!is_incoming(in)) {
+    if (auto* m = ctx.metrics()) m->on_replay_divergence();
+    return false;
+  }
   auto it = gate_.begin();
   while (it != gate_.end() && it->first != in) ++it;
   if (it == gate_.end()) return false;
   Message message = std::move(it->second);
   gate_.erase(it);
 
-  const auto seen = delivery_ordinals_.find(in.value());
-  const std::uint64_t next =
-      seen != delivery_ordinals_.end() ? seen->second : 0;
+  const std::uint64_t next = delivery_ordinals_[topology_->in_slot(in)];
   if (next != ordinal ||
       replay_payload_hash(message.payload) != expected_hash) {
     if (auto* m = ctx.metrics()) m->on_replay_divergence();

@@ -32,6 +32,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -131,7 +132,7 @@ class DebugShim final : public Process, public DebugApi {
     return *snapshot_;
   }
   [[nodiscard]] Process& user() { return *user_; }
-  [[nodiscard]] std::int64_t var(const std::string& name) const;
+  [[nodiscard]] std::int64_t var(std::string_view name) const;
   [[nodiscard]] std::size_t armed_watches() const {
     return detector_.num_watches();
   }
@@ -153,7 +154,8 @@ class DebugShim final : public Process, public DebugApi {
   // and `expected_hash` come from the log's Deliver record; a mismatch
   // counts a divergence (the message is still delivered — replay keeps
   // going so the divergence report covers the whole run).  Returns false
-  // if nothing is gated on `in`.
+  // if nothing is gated on `in`; a channel that is not incoming to this
+  // process also counts a divergence.
   bool replay_release(ProcessContext& ctx, ChannelId in, std::uint64_t ordinal,
                       std::uint64_t expected_hash);
   // Fire the timer created as this process's `ordinal`-th.  Returns false
@@ -203,6 +205,8 @@ class DebugShim final : public Process, public DebugApi {
   void fire_user_timer(TimerId timer);
   // Drains the replay gate into the halting engine at halt entry.
   void maybe_flush_gate();
+  // Whether `c` (possibly read from a log) is a channel into this process.
+  [[nodiscard]] bool is_incoming(ChannelId c) const;
 
   ProcessId self_;
   const Topology* topology_ = nullptr;  // bound in on_start
@@ -218,7 +222,16 @@ class DebugShim final : public Process, public DebugApi {
   VectorClock vclock_;
   std::uint64_t local_seq_ = 0;
   std::uint64_t send_counter_ = 0;
-  std::unordered_map<std::string, std::int64_t> vars_;
+  // Transparent hash: set_var/var look names up by string_view and build a
+  // std::string key only on a name's first use.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  std::unordered_map<std::string, std::int64_t, NameHash, std::equal_to<>>
+      vars_;
 
   // Valid while inside a handler; used by DebugApi calls and deferred work.
   ProcessContext* current_ctx_ = nullptr;
@@ -228,9 +241,10 @@ class DebugShim final : public Process, public DebugApi {
   std::vector<PendingTrigger> pending_triggers_;
 
   // ---- record/replay state ----
-  // Per-channel count of application messages handed to the user handler;
-  // the next delivery's ordinal in both record and replay modes.
-  std::unordered_map<std::uint32_t, std::uint64_t> delivery_ordinals_;
+  // Per in-channel slot (Topology::in_slot): count of application messages
+  // handed to the user handler, the next delivery's ordinal in both record
+  // and replay modes.  Sized to the in-degree in on_start.
+  std::vector<std::uint64_t> delivery_ordinals_;
   // Replay gate: arrived-but-unreleased application messages, in global
   // arrival order (per-channel FIFO is a consequence).
   std::deque<std::pair<ChannelId, Message>> gate_;

@@ -1,5 +1,7 @@
 #include "core/halting.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 #include "obs/metrics.hpp"
 
@@ -14,18 +16,42 @@ HaltingEngine::HaltingEngine(ProcessId self, const Topology* topology,
   DDBG_ASSERT(topology_ != nullptr, "HaltingEngine needs a topology");
   DDBG_ASSERT(callbacks_.capture_state != nullptr,
               "HaltingEngine needs a capture_state callback");
+  const std::size_t in_degree = topology_->in_channels(self_).size();
+  slot_done_.assign(in_degree, 0);
+  slot_record_.assign(in_degree, kNoRecord);
 }
 
 bool HaltingEngine::is_app_channel(ChannelId c) const {
   return !topology_->channel(c).is_control;
 }
 
+std::uint32_t HaltingEngine::slot_of(ChannelId in) const {
+  DDBG_ASSERT(topology_->channel(in).destination == self_,
+              "halting engine offered a channel that is not incoming");
+  return topology_->in_slot(in);
+}
+
+void HaltingEngine::clear_wave_slots() {
+  std::fill(slot_done_.begin(), slot_done_.end(), 0);
+  std::fill(slot_record_.begin(), slot_record_.end(), kNoRecord);
+  done_count_ = 0;
+}
+
+void HaltingEngine::mark_done(ChannelId in) {
+  std::uint8_t& done = slot_done_[slot_of(in)];
+  if (done != 0) return;
+  done = 1;
+  ++done_count_;
+}
+
 void HaltingEngine::record_channel_message(ChannelId in,
                                            const Bytes& payload) {
-  const auto [it, inserted] =
-      channel_slot_.try_emplace(in.value(), snapshot_.in_channels.size());
-  if (inserted) snapshot_.in_channels.push_back(ChannelState{in, {}});
-  snapshot_.in_channels[it->second].messages.push_back(payload);
+  std::uint32_t& record = slot_record_[slot_of(in)];
+  if (record == kNoRecord) {
+    record = static_cast<std::uint32_t>(snapshot_.in_channels.size());
+    snapshot_.in_channels.push_back(ChannelState{in, {}});
+  }
+  snapshot_.in_channels[record].messages.push_back(payload);
 }
 
 void HaltingEngine::initiate(ProcessContext& ctx) {
@@ -56,13 +82,13 @@ void HaltingEngine::on_halt_marker(ProcessContext& ctx, ChannelId in,
     }
     // The channel the first marker arrived on is empty (the sender halted
     // immediately after sending it): mark it done with no recorded messages.
-    channels_done_.insert(in);
+    mark_done(in);
     check_complete();
     return;
   }
   if (halted_ && data.halt_id.value() == last_halt_id_) {
     // Another marker of the current wave: this channel's state is complete.
-    channels_done_.insert(in);
+    mark_done(in);
     check_complete();
     return;
   }
@@ -79,11 +105,10 @@ void HaltingEngine::adopt_wave(ProcessContext& ctx,
   // channel, so it seeds the new wave's channel-state records (Lemma 2.2:
   // those messages arrive before the new wave's markers).
   completion_reported_ = false;
-  channels_done_.clear();
+  clear_wave_slots();
   snapshot_.halt_path = data.halt_path;
   snapshot_.captured_at = ctx.now();
   snapshot_.in_channels.clear();
-  channel_slot_.clear();
   for (const auto& [channel, message] : buffered_) {
     if (message.kind != MessageKind::kApplication) continue;
     if (!is_app_channel(channel)) continue;
@@ -101,16 +126,15 @@ void HaltingEngine::halt_routine(ProcessContext& ctx, bool from_control) {
   DDBG_ASSERT(!halted_, "halt routine entered twice");
   halted_ = true;
   completion_reported_ = false;
-  channels_done_.clear();
+  clear_wave_slots();
   buffered_.clear();
   buffered_timers_.clear();
 
   snapshot_.captured_at = ctx.now();
 
-  // Channel-state slots are created lazily on the first recorded payload
+  // Channel-state records are created lazily on the first recorded payload
   // (sparse: an empty channel never materializes an entry).
   snapshot_.in_channels.clear();
-  channel_slot_.clear();
 
   // Forward markers on every outgoing channel, appending our own name to
   // the halt path (section 2.2.4), then halt.
@@ -139,14 +163,6 @@ void HaltingEngine::forward_markers(ProcessContext& ctx,
   }
 }
 
-bool HaltingEngine::complete() const {
-  if (!halted_) return false;
-  for (const ChannelId c : topology_->in_channels(self_)) {
-    if (!channels_done_.contains(c)) return false;
-  }
-  return true;
-}
-
 void HaltingEngine::check_complete() {
   if (completion_reported_ || !complete()) return;
   completion_reported_ = true;
@@ -163,7 +179,7 @@ bool HaltingEngine::intercept_message(ChannelId in, const Message& message) {
   // Application messages arriving before this channel's marker are part of
   // the channel's recorded state (Lemma 2.2).
   if (message.kind == MessageKind::kApplication &&
-      !channels_done_.contains(in) && is_app_channel(in)) {
+      slot_done_[slot_of(in)] == 0 && is_app_channel(in)) {
     record_channel_message(in, message.payload);
   }
   return true;
@@ -184,8 +200,6 @@ HaltingEngine::ResumeData HaltingEngine::resume() {
   buffered_timers_.clear();
   halted_ = false;
   completion_reported_ = false;
-  channels_done_.clear();
-  channel_slot_.clear();
   snapshot_ = ProcessSnapshot{};
   return data;
 }

@@ -73,7 +73,8 @@ class SnapshotEngine {
 
   ProcessSnapshot snapshot_;
   std::unordered_set<ChannelId> channels_done_;
-  // Sparse index into snapshot_.in_channels (see HaltingEngine).
+  // Sparse index into snapshot_.in_channels, created on a channel's first
+  // recorded payload.
   std::unordered_map<std::uint32_t, std::size_t> channel_slot_;
 };
 

@@ -40,6 +40,8 @@ ChannelId Topology::add_channel(ProcessId source, ProcessId destination,
   const ChannelId id(static_cast<std::uint32_t>(channels_.size()));
   channels_.push_back(ChannelSpec{id, source, destination, is_control});
   out_channels_[source.value()].push_back(id);
+  in_slot_.push_back(
+      static_cast<std::uint32_t>(in_channels_[destination.value()].size()));
   in_channels_[destination.value()].push_back(id);
   if (!is_control) {
     // Keep the first data channel per pair (channel_between's contract).
@@ -362,6 +364,7 @@ Topology Topology::complete(std::uint32_t n) {
   DDBG_ASSERT(num_channels < ChannelId::kInvalid,
               "complete graph exceeds the channel id space");
   t.channels_.reserve(num_channels);
+  t.in_slot_.reserve(num_channels);
   t.data_channel_index_.reserve(num_channels);
   for (std::uint32_t i = 0; i < n; ++i) {
     t.out_channels_[i].reserve(n - 1);

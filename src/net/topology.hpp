@@ -74,6 +74,12 @@ class Topology {
 
   [[nodiscard]] std::span<const ChannelId> out_channels(ProcessId p) const;
   [[nodiscard]] std::span<const ChannelId> in_channels(ProcessId p) const;
+  // Index of `c` in in_channels(channel(c).destination): a dense per-process
+  // slot, so per-in-channel state can live in a vector of the in-degree.
+  [[nodiscard]] std::uint32_t in_slot(ChannelId c) const {
+    DDBG_ASSERT(c.value() < in_slot_.size(), "unknown channel id");
+    return in_slot_[c.value()];
+  }
 
   // First (non-control) channel from source to destination, if any.
   [[nodiscard]] std::optional<ChannelId> channel_between(
@@ -156,6 +162,8 @@ class Topology {
   std::vector<ChannelSpec> channels_;
   std::vector<std::vector<ChannelId>> out_channels_;
   std::vector<std::vector<ChannelId>> in_channels_;
+  // Per channel: its index among its destination's in_channels_.
+  std::vector<std::uint32_t> in_slot_;
   // First data (non-control) channel per ordered (source, destination)
   // pair, so channel_between is O(1) instead of an out-degree scan — on a
   // complete graph at N=1024 that scan is 1023 entries per lookup.  Lookup

@@ -23,7 +23,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -39,6 +38,7 @@
 #include "net/reliable_link.hpp"
 #include "net/topology.hpp"
 #include "net/transport_hooks.hpp"
+#include "sim/event_heap.hpp"
 #include "sim/latency_model.hpp"
 
 namespace ddbg {
@@ -166,14 +166,6 @@ class Simulation {
     std::function<void(ProcessContext&, Process&)> closure;
   };
 
-  struct EventOrder {
-    bool operator()(const std::unique_ptr<Event>& a,
-                    const std::unique_ptr<Event>& b) const {
-      if (a->when != b->when) return a->when > b->when;  // min-heap
-      return a->seq > b->seq;
-    }
-  };
-
   // One staged side effect of a worker-dispatched event, replayed by the
   // coordinator at window commit in exact sequential order.  Effects whose
   // result is order-independent (pure counter adds) are not staged; see
@@ -213,9 +205,7 @@ class Simulation {
     // Events assigned to this worker for the current window, (when, seq)
     // min-heap.  In-window children of local events join with provisional
     // seqs, which preserve the true relative order (see DESIGN.md).
-    std::priority_queue<std::unique_ptr<Event>,
-                        std::vector<std::unique_ptr<Event>>, EventOrder>
-        heap;
+    EventHeap<Event> heap;
     std::deque<ExecRecord> records;
     ExecRecord* current = nullptr;  // non-null only while dispatching
     TimePoint horizon{0};           // dispatch-locally bound (exclusive)
@@ -271,9 +261,7 @@ class Simulation {
   Rng rng_;
   std::vector<Rng> process_rngs_;
 
-  std::priority_queue<std::unique_ptr<Event>, std::vector<std::unique_ptr<Event>>,
-                      EventOrder>
-      queue_;
+  EventHeap<Event> queue_;
   TimePoint now_{0};
   std::uint64_t next_seq_ = 0;
   // Transport message ids are per-channel streams (bit 63 tags them apart

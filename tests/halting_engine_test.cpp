@@ -3,8 +3,13 @@
 // context — no runtime involved.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
+#include "core/global_state.hpp"
 #include "core/halting.hpp"
 #include "core/snapshot.hpp"
+#include "net/replay_hooks.hpp"
 #include "tests/test_util.hpp"
 
 namespace ddbg {
@@ -394,6 +399,205 @@ TEST(SnapshotEngine, ObserveWhileIdleIsNoop) {
   engine.observe_app_message(fx.in_channel(), Message::application(Bytes{1}));
   EXPECT_FALSE(engine.recording());
   EXPECT_TRUE(fx.completions.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Per-in-channel slots on a dense in-degree: Topology::complete(32) with a
+// flat debugger gives every user process 31 application in-channels plus
+// one control in-channel.
+// ---------------------------------------------------------------------------
+
+struct CompleteFixture {
+  Topology topology = Topology::complete(32).with_debugger();
+  ProcessId self{5};
+  FakeContext ctx{ProcessId(5), &topology};
+  std::vector<ProcessSnapshot> completions;
+
+  HaltingEngine make_engine() {
+    return HaltingEngine(
+        self, &topology,
+        HaltingEngine::Callbacks{[this] {
+                                   ProcessSnapshot snapshot;
+                                   snapshot.process = self;
+                                   snapshot.state = Bytes{7, 7};
+                                   snapshot.description = "complete32";
+                                   return snapshot;
+                                 },
+                                 nullptr,
+                                 [this](const ProcessSnapshot& snapshot) {
+                                   completions.push_back(snapshot);
+                                 }});
+  }
+
+  [[nodiscard]] std::vector<ChannelId> in() const {
+    const auto span = topology.in_channels(self);
+    return {span.begin(), span.end()};
+  }
+  // The in-channels in a fixed scrambled order (37 is coprime to 32).
+  [[nodiscard]] std::vector<ChannelId> scrambled() const {
+    const std::vector<ChannelId> channels = in();
+    std::vector<ChannelId> out;
+    for (std::size_t k = 0; k < channels.size(); ++k) {
+      out.push_back(channels[(k * 37 + 11) % channels.size()]);
+    }
+    return out;
+  }
+  // Deliver this wave's marker on every channel in `order` except those in
+  // `skip`, checking complete() flips exactly on the last one.
+  void close_all(HaltingEngine& engine, std::uint64_t wave,
+                 const std::vector<ChannelId>& order,
+                 const std::vector<ChannelId>& skip) {
+    std::vector<ChannelId> pending;
+    for (const ChannelId c : order) {
+      if (std::find(skip.begin(), skip.end(), c) == skip.end()) {
+        pending.push_back(c);
+      }
+    }
+    const std::size_t before = completions.size();
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      EXPECT_FALSE(engine.complete()) << "marker " << i;
+      engine.on_halt_marker(ctx, pending[i], HaltMarkerData{HaltId(wave), {}});
+    }
+    EXPECT_TRUE(engine.complete());
+    EXPECT_EQ(completions.size(), before + 1);
+  }
+};
+
+[[nodiscard]] std::uint64_t encoded_hash(const ProcessSnapshot& snapshot) {
+  GlobalState state(HaltId(1));
+  state.add(snapshot);
+  const Bytes bytes = state.encode_snapshots();
+  return replay_payload_hash(std::span<const std::uint8_t>(bytes));
+}
+
+TEST(HaltingEngineSlots, CompleteFlipsExactlyOnLastMarker) {
+  CompleteFixture fx;
+  ASSERT_EQ(fx.in().size(), 32u);
+  HaltingEngine engine = fx.make_engine();
+  engine.initiate(fx.ctx);
+  const std::vector<ChannelId> order = fx.scrambled();
+  for (std::size_t i = 0; i + 1 < order.size(); ++i) {
+    engine.on_halt_marker(fx.ctx, order[i], HaltMarkerData{HaltId(1), {}});
+    // A repeated marker on a closed channel must not count twice.
+    engine.on_halt_marker(fx.ctx, order[i], HaltMarkerData{HaltId(1), {}});
+    EXPECT_FALSE(engine.complete()) << "after marker " << i;
+  }
+  EXPECT_TRUE(fx.completions.empty());
+  engine.on_halt_marker(fx.ctx, order.back(), HaltMarkerData{HaltId(1), {}});
+  EXPECT_TRUE(engine.complete());
+  EXPECT_EQ(fx.completions.size(), 1u);
+  engine.on_halt_marker(fx.ctx, order.front(), HaltMarkerData{HaltId(1), {}});
+  EXPECT_EQ(fx.completions.size(), 1u);  // reported once
+}
+
+TEST(HaltingEngineSlots, RecordedChannelOrderIsFirstRecordedOrder) {
+  CompleteFixture fx;
+  HaltingEngine engine = fx.make_engine();
+  engine.initiate(fx.ctx);
+  const std::vector<ChannelId> in = fx.in();
+  const ChannelId control = fx.topology.control_to(fx.self);
+  // Sixty payloads over the application channels in a scrambled order;
+  // three channels close part-way, so their later payloads are not state.
+  std::vector<ChannelId> first_recorded;
+  std::vector<ChannelId> closed;
+  for (std::uint8_t k = 0; k < 60; ++k) {
+    const ChannelId c = in[(k * 13u + 5u) % in.size()];
+    if (c == control) continue;
+    EXPECT_TRUE(engine.intercept_message(c, Message::application(Bytes{k})));
+    const auto seen = [](const std::vector<ChannelId>& list, ChannelId x) {
+      return std::find(list.begin(), list.end(), x) != list.end();
+    };
+    if (!seen(closed, c) && !seen(first_recorded, c)) {
+      first_recorded.push_back(c);
+    }
+    if (k == 17 || k == 29 || k == 41) {
+      engine.on_halt_marker(fx.ctx, c, HaltMarkerData{HaltId(1), {}});
+      closed.push_back(c);
+    }
+  }
+  fx.close_all(engine, 1, fx.scrambled(), closed);
+  ASSERT_EQ(fx.completions.size(), 1u);
+  const ProcessSnapshot& snapshot = fx.completions.back();
+  std::vector<ChannelId> recorded;
+  for (const ChannelState& state : snapshot.in_channels) {
+    recorded.push_back(state.channel);
+  }
+  EXPECT_EQ(recorded, first_recorded);
+  // S_h bytes, captured before the channel records moved to dense slots.
+  EXPECT_EQ(encoded_hash(snapshot), 17365311518416196425ULL);
+}
+
+TEST(HaltingEngineSlots, AdoptedWaveRestartsEverySlot) {
+  CompleteFixture fx;
+  HaltingEngine engine = fx.make_engine();
+  const std::vector<ChannelId> in = fx.in();
+  engine.initiate(fx.ctx);
+  // Wave 1: payloads on in[2] and in[9], then half the markers.
+  EXPECT_TRUE(engine.intercept_message(in[9], Message::application(Bytes{1})));
+  EXPECT_TRUE(engine.intercept_message(in[2], Message::application(Bytes{2})));
+  for (std::size_t i = 0; i < 16; ++i) {
+    engine.on_halt_marker(fx.ctx, in[i], HaltMarkerData{HaltId(1), {}});
+  }
+  // Post-marker traffic on in[2]: buffered, not wave-1 channel state.
+  EXPECT_TRUE(engine.intercept_message(in[2], Message::application(Bytes{3})));
+  ASSERT_EQ(engine.snapshot().in_channels.size(), 2u);
+
+  // A newer wave arrives on in[20] while halted: every buffered payload is
+  // still in its channel, so it seeds wave 2's records in buffered order,
+  // and only in[20] is closed.
+  engine.on_halt_marker(fx.ctx, in[20], HaltMarkerData{HaltId(2), {}});
+  EXPECT_EQ(engine.current_wave(), HaltId(2));
+  EXPECT_FALSE(engine.complete());
+  const ProcessSnapshot& adopted = engine.snapshot();
+  ASSERT_EQ(adopted.in_channels.size(), 2u);
+  EXPECT_EQ(adopted.in_channels[0].channel, in[9]);
+  EXPECT_EQ(adopted.in_channels[0].messages, (std::vector<Bytes>{{1}}));
+  EXPECT_EQ(adopted.in_channels[1].channel, in[2]);
+  EXPECT_EQ(adopted.in_channels[1].messages,
+            (std::vector<Bytes>{{2}, {3}}));
+
+  // Late wave-1 markers are ignored: they close nothing in wave 2.
+  for (std::size_t i = 16; i < in.size(); ++i) {
+    engine.on_halt_marker(fx.ctx, in[i], HaltMarkerData{HaltId(1), {}});
+  }
+  EXPECT_FALSE(engine.complete());
+  EXPECT_TRUE(fx.completions.empty());
+  // in[2] was closed in wave 1 but is open again in wave 2.
+  EXPECT_TRUE(engine.intercept_message(in[2], Message::application(Bytes{4})));
+  fx.close_all(engine, 2, fx.scrambled(), {in[20]});
+  ASSERT_EQ(fx.completions.size(), 1u);
+  EXPECT_EQ(fx.completions[0].in_channels[1].messages,
+            (std::vector<Bytes>{{2}, {3}, {4}}));
+}
+
+TEST(HaltingEngineSlots, NothingSurvivesIntoTheNextWave) {
+  CompleteFixture fx;
+  HaltingEngine engine = fx.make_engine();
+  const std::vector<ChannelId> in = fx.in();
+  engine.initiate(fx.ctx);
+  EXPECT_TRUE(engine.intercept_message(in[4], Message::application(Bytes{1})));
+  EXPECT_TRUE(engine.intercept_message(in[7], Message::application(Bytes{2})));
+  fx.close_all(engine, 1, fx.scrambled(), {});
+  ASSERT_EQ(fx.completions.size(), 1u);
+  EXPECT_EQ(fx.completions[0].in_channels.size(), 2u);
+  const auto resumed = engine.resume();
+  EXPECT_EQ(resumed.messages.size(), 2u);
+
+  // Wave 2 enters through a marker on in[7].  Had a done bit survived, the
+  // wave would complete early; had a record survived, in[4]/in[7] would
+  // reappear in the channel state.
+  engine.on_halt_marker(fx.ctx, in[7], HaltMarkerData{HaltId(2), {}});
+  EXPECT_TRUE(engine.halted());
+  EXPECT_FALSE(engine.complete());
+  EXPECT_TRUE(engine.snapshot().in_channels.empty());
+  EXPECT_TRUE(engine.intercept_message(in[9], Message::application(Bytes{5})));
+  EXPECT_TRUE(engine.intercept_message(in[7], Message::application(Bytes{6})));
+  fx.close_all(engine, 2, fx.scrambled(), {in[7]});
+  ASSERT_EQ(fx.completions.size(), 2u);
+  const ProcessSnapshot& second = fx.completions[1];
+  ASSERT_EQ(second.in_channels.size(), 1u);  // in[7] closed at halt
+  EXPECT_EQ(second.in_channels[0].channel, in[9]);
+  EXPECT_EQ(second.in_channels[0].messages, (std::vector<Bytes>{{5}}));
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 // stamping, variable tracking, control handling and report plumbing.
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "analysis/trace.hpp"
 #include "core/debug_shim.hpp"
 #include "debugger/harness.hpp"
+#include "net/replay_hooks.hpp"
 #include "sim/simulation.hpp"
 #include "tests/test_util.hpp"
 #include "workload/behaviors.hpp"
@@ -164,6 +167,49 @@ TEST(DebugShim, VarTableTracksLatestValue) {
   EXPECT_EQ(shim0.var("x"), 1);
   EXPECT_EQ(shim1.var("x"), 1);  // payload size of the received message
   EXPECT_EQ(shim0.var("missing"), 0);
+}
+
+TEST(DebugShim, ReplayReleaseOnForeignChannelIsADivergence) {
+  // Replay channel ids come from a log.  One that is not incoming to the
+  // process (its own out-channel, or no channel at all) must count a
+  // divergence, never index the per-in-channel ordinals.
+  Topology topology = pair_topology();  // channel 0: p0 -> p1
+  std::vector<ProcessPtr> users;
+  users.push_back(std::make_unique<Instrumented>());
+  users.push_back(std::make_unique<Instrumented>());
+  DebugShim::Options options;
+  options.replay_gate = true;
+  Simulation sim(topology, wrap_in_shims(topology, std::move(users), options));
+  sim.run_until_quiescent();
+  auto& shim0 = dynamic_cast<DebugShim&>(sim.process(ProcessId(0)));
+  auto& shim1 = dynamic_cast<DebugShim&>(sim.process(ProcessId(1)));
+  ASSERT_EQ(shim1.replay_gate_depth(ChannelId(0)), 1u);
+
+  bool released_out = true;
+  bool released_unknown = true;
+  sim.post(ProcessId(0), [&](ProcessContext& ctx, Process&) {
+    released_out = shim0.replay_release(ctx, ChannelId(0), 0, 0);
+    released_unknown = shim0.replay_release(ctx, ChannelId(99), 0, 0);
+  });
+  sim.run_until_quiescent();
+  EXPECT_FALSE(released_out);
+  EXPECT_FALSE(released_unknown);
+  EXPECT_EQ(sim.metrics().snapshot(sim.now()).replay.divergences, 2u);
+  EXPECT_EQ(shim0.replay_deliveries(ChannelId(0)), 0u);
+  EXPECT_EQ(shim0.replay_deliveries(ChannelId(99)), 0u);
+
+  // The gated message on p1's real in-channel still releases cleanly.
+  const Bytes payload{42};
+  bool released_in = false;
+  sim.post(ProcessId(1), [&](ProcessContext& ctx, Process&) {
+    released_in = shim1.replay_release(
+        ctx, ChannelId(0), 0,
+        replay_payload_hash(std::span<const std::uint8_t>(payload)));
+  });
+  sim.run_until_quiescent();
+  EXPECT_TRUE(released_in);
+  EXPECT_EQ(shim1.replay_deliveries(ChannelId(0)), 1u);
+  EXPECT_EQ(sim.metrics().snapshot(sim.now()).replay.divergences, 2u);
 }
 
 TEST(DebugShim, SnapshotDelegatesToUser) {
