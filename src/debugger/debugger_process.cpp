@@ -147,6 +147,7 @@ void DebuggerProcess::handle_halt_marker(ProcessContext& ctx, ChannelId in,
       // the processes the application topology cannot.
       last_halt_id_ = data.halt_id.value();
       wave_entry(halt_waves_, last_halt_id_, ctx);
+      publish_latest_halt();
       adopted = true;
     }
   }
@@ -196,6 +197,9 @@ void DebuggerProcess::check_wave_complete(ProcessContext& ctx, WaveInfo& wave,
     if (replay_sink_ != nullptr) {
       replay_sink_->record_halt_cut(wave.id, wave.state.encode_snapshots());
     }
+    // Last, so a waiter that sees the halt complete also sees its span
+    // and recorded cut.
+    publish_latest_halt();
   }
 }
 
@@ -432,6 +436,7 @@ std::uint64_t DebuggerProcess::initiate_halt(ProcessContext& ctx) {
     std::lock_guard<std::mutex> guard{mutex_};
     wave = ++last_halt_id_;
     wave_entry(halt_waves_, wave, ctx);
+    publish_latest_halt();
     markers_forwarded_ += children_.size();
   }
   for (const ProcessId child : children_) {
@@ -463,6 +468,7 @@ void DebuggerProcess::resume_all(ProcessContext& ctx) {
     // Waves up to here are over: latest_halt_complete() now refers to the
     // *next* wave, so a session can wait for a fresh halt after resuming.
     resumed_through_ = wave;
+    publish_latest_halt();
   }
   if (wave == 0) return;
   broadcast_control(ctx, Command::resume(wave));
@@ -488,11 +494,17 @@ bool DebuggerProcess::halt_complete(std::uint64_t wave) const {
   return it != halt_waves_.end() && it->second.complete;
 }
 
+void DebuggerProcess::publish_latest_halt() {
+  bool complete = false;
+  if (last_halt_id_ != 0 && last_halt_id_ > resumed_through_) {
+    const auto it = halt_waves_.find(last_halt_id_);
+    complete = it != halt_waves_.end() && it->second.complete;
+  }
+  latest_halt_complete_.store(complete, std::memory_order_release);
+}
+
 bool DebuggerProcess::latest_halt_complete() const {
-  std::lock_guard<std::mutex> guard{mutex_};
-  if (last_halt_id_ == 0 || last_halt_id_ <= resumed_through_) return false;
-  auto it = halt_waves_.find(last_halt_id_);
-  return it != halt_waves_.end() && it->second.complete;
+  return latest_halt_complete_.load(std::memory_order_acquire);
 }
 
 std::optional<DebuggerProcess::WaveInfo> DebuggerProcess::halt_wave(

@@ -21,6 +21,7 @@
 // context (posted closures or message handlers).
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -89,6 +90,8 @@ class DebuggerProcess final : public Process {
   // ---- thread-safe observers ----
   [[nodiscard]] std::uint64_t last_halt_id() const;
   [[nodiscard]] bool halt_complete(std::uint64_t wave) const;
+  // The latest halt wave completed and has not been resumed.  One atomic
+  // load: waiters poll it after every simulator event.
   [[nodiscard]] bool latest_halt_complete() const;
   [[nodiscard]] std::optional<WaveInfo> halt_wave(std::uint64_t wave) const;
   [[nodiscard]] std::optional<WaveInfo> latest_halt_wave() const;
@@ -132,6 +135,9 @@ class DebuggerProcess final : public Process {
   void broadcast_control(ProcessContext& ctx, const Command& command);
   WaveInfo& wave_entry(std::map<std::uint64_t, WaveInfo>& waves,
                        std::uint64_t id, ProcessContext& ctx);
+  // Recompute latest_halt_complete_ after the latest halt wave, its
+  // completion or the resume watermark changed.  Caller holds mutex_.
+  void publish_latest_halt();
 
   const Topology* topology_ = nullptr;  // bound in on_start
   ProcessId self_;
@@ -146,6 +152,8 @@ class DebuggerProcess final : public Process {
   // Highest wave id that has been resumed (see resume_all).
   std::uint64_t resumed_through_ = 0;
   std::map<std::uint64_t, WaveInfo> halt_waves_;
+  // What latest_halt_complete() reads, without the mutex.
+  std::atomic<bool> latest_halt_complete_{false};
   std::map<std::uint64_t, WaveInfo> snapshot_waves_;
 
   BreakpointId::rep_type next_breakpoint_ = 1;

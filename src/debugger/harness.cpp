@@ -82,22 +82,16 @@ SimulationConfig sim_config(HarnessConfig& config) {
   return sim_config;
 }
 
-RuntimeConfig runtime_config(HarnessConfig& config) {
-  RuntimeConfig runtime_config;
+// The fields both threaded runtimes take (TcpRuntimeConfig is a
+// RuntimeConfig plus socket options).
+template <typename Config>
+Config runtime_config(HarnessConfig& config) {
+  Config runtime_config;
   runtime_config.seed = config.seed;
   runtime_config.faults = std::move(config.faults);
   runtime_config.reliable = config.reliable;
   runtime_config.replay = config.replay;
   return runtime_config;
-}
-
-TcpRuntimeConfig tcp_config(HarnessConfig& config) {
-  TcpRuntimeConfig tcp_config;
-  tcp_config.seed = config.seed;
-  tcp_config.faults = std::move(config.faults);
-  tcp_config.reliable = config.reliable;
-  tcp_config.replay = config.replay;
-  return tcp_config;
 }
 
 }  // namespace
@@ -114,12 +108,12 @@ RuntimeDebugHarness::RuntimeDebugHarness(const Topology& user_topology,
                                          std::vector<ProcessPtr> users,
                                          HarnessConfig config)
     : DebugHarness(user_topology, std::move(users), config,
-                   runtime_config(config)) {}
+                   runtime_config<RuntimeConfig>(config)) {}
 
 TcpDebugHarness::TcpDebugHarness(const Topology& user_topology,
                                  std::vector<ProcessPtr> users,
                                  HarnessConfig config)
     : DebugHarness(user_topology, std::move(users), config,
-                   tcp_config(config)) {}
+                   runtime_config<TcpRuntimeConfig>(config)) {}
 
 }  // namespace ddbg

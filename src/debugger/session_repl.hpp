@@ -1,7 +1,6 @@
 // The ddbg command language: one parser and one driver loop shared by the
-// interactive CLI (tools/ddbg.cpp), its batch mode, and the in-process
-// example (examples/interactive.cpp), so every front end speaks the exact
-// same commands.
+// interactive CLI (tools/ddbg.cpp) and its batch mode, so every front end
+// speaks the exact same commands.
 //
 //   break <expr>     arm a breakpoint (core/predicate_parser.hpp syntax)
 //   clear <id>       remove breakpoint <id>

@@ -428,6 +428,9 @@ SessionResponse SessionServer::handle(Client& client,
         std::lock_guard<std::mutex> guard{mutex_};
         halt_owner_ = 0;
       }
+      // The resumed wave is over: `state` and `deadlock` follow the next
+      // halt, whichever session or breakpoint starts it.
+      client.halt_wave = 0;
       return SessionResponse::success(request.req_id, "resumed");
     }
     case SessionOp::kReplay: {

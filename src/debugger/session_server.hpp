@@ -97,7 +97,8 @@ class SessionServer {
     std::atomic<bool> done{false};
     // Wave id of this session's last completed halt: `state` and
     // `deadlock` read that wave, not whatever wave another session may
-    // have started since.  0 = never halted (fall back to the latest).
+    // have started since.  0 = no halt since this session last resumed
+    // (fall back to the latest).
     std::uint64_t halt_wave = 0;
   };
 

@@ -16,6 +16,23 @@ void on_fault(const LinkEnv& env, FaultKind kind, ChannelId channel,
 
 }  // namespace
 
+LinkTable::LinkTable(const Topology& topology,
+                     std::shared_ptr<const FaultPlan> plan,
+                     const ReliableConfig& reliable,
+                     obs::MetricsRegistry& metrics,
+                     std::shared_ptr<ReplaySink> replay)
+    : plan_(std::move(plan)),
+      replay_(std::move(replay)),
+      env_{plan_.get(), reliable, &metrics, replay_.get()} {
+  if (!enabled()) return;
+  senders_.reserve(topology.num_channels());
+  receivers_.reserve(topology.num_channels());
+  for (const ChannelSpec& spec : topology.channels()) {
+    senders_.emplace_back(env_, spec.id);
+    receivers_.emplace_back(env_, spec.id);
+  }
+}
+
 void LinkEnv::on_reconnect(ChannelId channel) const {
   metrics->on_reconnect();
   if (replay != nullptr) {

@@ -9,13 +9,16 @@
 // frame or an ack (with any extra delay) and what a reset does to its
 // connection.
 //
-// LinkSender is owned by the channel source's thread (or simulation lane),
-// LinkReceiver by the destination's, so neither takes a lock.  Both report
-// to the substrate's LinkEnv, whose metrics are relaxed atomics and whose
-// replay sink locks internally.
+// A substrate holds one LinkTable: both halves of every channel's link,
+// indexed by channel id.  A LinkSender is used only by the channel
+// source's thread (or simulation lane), a LinkReceiver only by the
+// destination's, so neither takes a lock.  Both report to the table's
+// LinkEnv, whose metrics are relaxed atomics and whose replay sink locks
+// internally.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -26,6 +29,7 @@
 #include "net/message.hpp"
 #include "net/reliable.hpp"
 #include "net/replay_hooks.hpp"
+#include "net/topology.hpp"
 #include "obs/metrics.hpp"
 
 namespace ddbg {
@@ -129,6 +133,38 @@ class LinkReceiver {
   ChannelId channel_;
   ReliableReceiver window_;
   std::uint64_t ack_attempts_ = 0;
+};
+
+// Every channel's link halves for one substrate, built once.  Without a
+// fault plan the table is empty and enabled() is false: the substrate
+// moves messages directly.  Non-movable, because the halves point at env_.
+class LinkTable {
+ public:
+  LinkTable(const Topology& topology, std::shared_ptr<const FaultPlan> plan,
+            const ReliableConfig& reliable, obs::MetricsRegistry& metrics,
+            std::shared_ptr<ReplaySink> replay);
+  LinkTable(const LinkTable&) = delete;
+  LinkTable& operator=(const LinkTable&) = delete;
+
+  [[nodiscard]] bool enabled() const { return plan_ != nullptr; }
+  [[nodiscard]] const ReliableConfig& reliable() const {
+    return env_.reliable;
+  }
+
+  [[nodiscard]] LinkSender& sender(ChannelId channel) {
+    return senders_[channel.value()];
+  }
+  [[nodiscard]] LinkReceiver& receiver(ChannelId channel) {
+    return receivers_[channel.value()];
+  }
+  void on_reconnect(ChannelId channel) const { env_.on_reconnect(channel); }
+
+ private:
+  std::shared_ptr<const FaultPlan> plan_;
+  std::shared_ptr<ReplaySink> replay_;
+  LinkEnv env_;
+  std::vector<LinkSender> senders_;
+  std::vector<LinkReceiver> receivers_;
 };
 
 }  // namespace ddbg

@@ -2,14 +2,12 @@
 
 #include <chrono>
 #include <deque>
-#include <future>
 #include <map>
 #include <utility>
 
 #include "common/buffer_pool.hpp"
 #include "common/logging.hpp"
 #include "common/serialization.hpp"
-#include "runtime/worker.hpp"
 
 namespace ddbg {
 
@@ -21,19 +19,17 @@ using SteadyClock = std::chrono::steady_clock;
 // Worker: one process, its inbox, its timers and its thread.
 // ---------------------------------------------------------------------------
 
-class Runtime::Worker {
+class Runtime::Worker final : public WorkerBase {
  public:
-  Worker(Runtime& runtime, ProcessId id, ProcessPtr process, Rng rng);
-  ~Worker();
-
-  void start();
-  void stop();
+  Worker(Runtime& runtime, ProcessId id, ProcessPtr process, Rng rng)
+      : WorkerBase(runtime, id, std::move(process), rng), runtime_(runtime) {}
+  ~Worker() override { stop(); }
 
   void push_delivery(ChannelId channel, Message message,
                      std::uint32_t wire_bytes);
-  void push_closure(std::function<void(ProcessContext&, Process&)> action);
+  void push_closure(Closure action) override;
 
-  // ---- reliability layer (runtime_.config_.faults only) ----
+  // ---- reliability layer (runtime_.links_ enabled only) ----
   // The fault and recovery policy is net/reliable_link's; the worker moves
   // the frames and acks it asks for.  The sender halves of this worker's
   // out-channels run on its thread (do_send runs on it, acks and internal
@@ -41,17 +37,6 @@ class Runtime::Worker {
   // in-channels.
   void rel_transmit(ChannelId channel, std::uint64_t seq);
   void rel_check_retries(ChannelId channel);
-
-  TimerId add_timer(Duration delay);
-  void cancel_timer(TimerId timer);
-
-  [[nodiscard]] Process& process() { return *process_; }
-  [[nodiscard]] Runtime& runtime() { return runtime_; }
-  [[nodiscard]] ProcessId id() const { return id_; }
-  [[nodiscard]] Rng& rng() { return rng_; }
-  // Encode-buffer pool for sends issued from this worker's thread; only
-  // that thread may touch it.
-  [[nodiscard]] BufferPool& pool() { return pool_; }
 
  private:
   struct Item {
@@ -71,12 +56,14 @@ class Runtime::Worker {
     Message message;
     std::uint32_t wire_bytes = 0;
     std::uint64_t rel_seq = 0;  // kRelFrame: data seq; kAck: cum ack
-    std::function<void(ProcessContext&, Process&)> closure;
+    Closure closure;
     std::function<void()> fn;
     TimerId timer;
   };
 
-  void thread_main();
+  void run() override;
+  void request_stop() override;
+  void wake() override { cv_.notify_one(); }
   // Queue a data frame (kRelFrame) or an ack (kAck) from another worker.
   void push_rel(Item item);
   void rel_arm_retry(ChannelId channel);
@@ -91,43 +78,21 @@ class Runtime::Worker {
   bool next_batch(std::deque<Item>& out, bool& from_inbox);
 
   Runtime& runtime_;
-  ProcessId id_;
-  ProcessPtr process_;
-  Rng rng_;
-  std::unique_ptr<WorkerContext<Worker>> context_;
-  BufferPool pool_;
-
-  std::mutex mutex_;
+  // With WorkerBase::mutex_: the inbox, deadline-fired reliability actions
+  // (inserted under the mutex, executed on this worker's thread) and the
+  // stop flag.
   std::condition_variable cv_;
   std::deque<Item> inbox_;
-  TimerQueue timers_;
-  // Deadline-fired reliability actions; inserted under mutex_, executed on
-  // this worker's thread.
   std::multimap<SteadyClock::time_point, std::function<void()>> internal_;
   bool stopping_ = false;
-
-  std::thread thread_;
 };
 
-Runtime::Worker::Worker(Runtime& runtime, ProcessId id, ProcessPtr process,
-                        Rng rng)
-    : runtime_(runtime), id_(id), process_(std::move(process)), rng_(rng) {
-  context_ = std::make_unique<WorkerContext<Worker>>(*this);
-}
-
-Runtime::Worker::~Worker() { stop(); }
-
-void Runtime::Worker::start() {
-  thread_ = std::thread([this] { thread_main(); });
-}
-
-void Runtime::Worker::stop() {
+void Runtime::Worker::request_stop() {
   {
     std::lock_guard<std::mutex> guard{mutex_};
     stopping_ = true;
   }
   cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
 }
 
 void Runtime::Worker::push_delivery(ChannelId channel, Message message,
@@ -148,8 +113,7 @@ void Runtime::Worker::push_delivery(ChannelId channel, Message message,
   cv_.notify_one();
 }
 
-void Runtime::Worker::push_closure(
-    std::function<void(ProcessContext&, Process&)> action) {
+void Runtime::Worker::push_closure(Closure action) {
   {
     std::lock_guard<std::mutex> guard{mutex_};
     if (stopping_) return;
@@ -159,23 +123,6 @@ void Runtime::Worker::push_closure(
     inbox_.push_back(std::move(item));
   }
   cv_.notify_one();
-}
-
-TimerId Runtime::Worker::add_timer(Duration delay) {
-  const TimerId id(runtime_.next_timer_id_.fetch_add(1));
-  const auto deadline =
-      SteadyClock::now() + std::chrono::nanoseconds(delay.ns);
-  {
-    std::lock_guard<std::mutex> guard{mutex_};
-    timers_.add(id, deadline);
-  }
-  cv_.notify_one();
-  return id;
-}
-
-void Runtime::Worker::cancel_timer(TimerId timer) {
-  std::lock_guard<std::mutex> guard{mutex_};
-  timers_.cancel(timer);
 }
 
 bool Runtime::Worker::next_batch(std::deque<Item>& out, bool& from_inbox) {
@@ -222,7 +169,7 @@ bool Runtime::Worker::next_batch(std::deque<Item>& out, bool& from_inbox) {
   }
 }
 
-void Runtime::Worker::thread_main() {
+void Runtime::Worker::run() {
   process_->on_start(*context_);
   std::deque<Item> batch;
   bool from_inbox = false;
@@ -249,7 +196,7 @@ void Runtime::Worker::thread_main() {
           rel_on_frame(item, deliveries);
           break;
         case Item::Kind::kAck:
-          runtime_.rel_send_[item.channel.value()].ack(item.rel_seq);
+          runtime_.links_.sender(item.channel).ack(item.rel_seq);
           rel_arm_retry(item.channel);
           break;
         case Item::Kind::kInternal:
@@ -280,22 +227,21 @@ void Runtime::Worker::schedule_internal(SteadyClock::time_point when,
 }
 
 void Runtime::Worker::rel_transmit(ChannelId channel, std::uint64_t seq) {
-  const auto tx = runtime_.rel_send_[channel.value()].transmit(seq);
+  const auto tx = runtime_.links_.sender(channel).transmit(seq);
   if (!tx.has_value()) return;  // acked meanwhile
   if (tx->redial) {
     // After a redial delay, resync replays the whole unacked window.
     const auto redial =
         SteadyClock::now() +
-        std::chrono::nanoseconds(runtime_.config_.reliable.rto_initial.ns);
+        std::chrono::nanoseconds(runtime_.links_.reliable().rto_initial.ns);
     schedule_internal(redial, [this, channel] {
-      runtime_.link_env_.on_reconnect(channel);
-      runtime_.rel_send_[channel.value()].resync(runtime_.now());
+      runtime_.links_.on_reconnect(channel);
+      runtime_.links_.sender(channel).resync(runtime_.now());
       rel_check_retries(channel);
     });
   }
-  Worker& dest =
-      *runtime_.workers_[runtime_.topology_.channel(channel).destination
-                             .value()];
+  Worker& dest = runtime_.worker_as<Worker>(
+      runtime_.topology_.channel(channel).destination);
   for (std::uint8_t i = 0; i < tx->copies; ++i) {
     // Frame contents are fixed at transmission time: copy now even for a
     // delayed frame, so an ack retiring the window entry cannot
@@ -326,7 +272,7 @@ void Runtime::Worker::rel_check_retries(ChannelId channel) {
   const std::size_t c = channel.value();
   runtime_.retry_arm_[c] = SteadyClock::time_point::max();
   for (const std::uint64_t seq :
-       runtime_.rel_send_[c].retransmits(runtime_.now())) {
+       runtime_.links_.sender(channel).retransmits(runtime_.now())) {
     rel_transmit(channel, seq);
   }
   rel_arm_retry(channel);
@@ -334,7 +280,7 @@ void Runtime::Worker::rel_check_retries(ChannelId channel) {
 
 void Runtime::Worker::rel_arm_retry(ChannelId channel) {
   const std::size_t c = channel.value();
-  const auto deadline = runtime_.rel_send_[c].next_deadline();
+  const auto deadline = runtime_.links_.sender(channel).next_deadline();
   if (!deadline.has_value()) return;
   const auto when = runtime_.clock_.at(*deadline);
   if (runtime_.retry_arm_[c] <= when) return;  // an earlier check covers it
@@ -356,7 +302,7 @@ void Runtime::Worker::push_rel(Item item) {
 
 void Runtime::Worker::rel_on_frame(Item& item, std::size_t& deliveries) {
   const std::size_t c = item.channel.value();
-  LinkReceiver& receiver = runtime_.rel_recv_[c];
+  LinkReceiver& receiver = runtime_.links_.receiver(item.channel);
   std::vector<ReliableReceiver::Delivery> released;
   receiver.on_frame(item.rel_seq, std::move(item.message), item.wire_bytes,
                     released);
@@ -369,9 +315,8 @@ void Runtime::Worker::rel_on_frame(Item& item, std::size_t& deliveries) {
   }
   const auto ack = receiver.ack();
   if (!ack.has_value()) return;
-  Worker& src =
-      *runtime_.workers_[runtime_.topology_.channel(item.channel).source
-                             .value()];
+  Worker& src = runtime_.worker_as<Worker>(
+      runtime_.topology_.channel(item.channel).source);
   Item reply;
   reply.kind = Item::Kind::kAck;
   reply.channel = item.channel;
@@ -385,39 +330,19 @@ void Runtime::Worker::rel_on_frame(Item& item, std::size_t& deliveries) {
 
 Runtime::Runtime(Topology topology, std::vector<ProcessPtr> processes,
                  RuntimeConfig config)
-    : topology_(std::move(topology)),
-      config_(config),
-      metrics_("threads", topology_.num_processes(),
-               channel_meta(topology_)) {
-  DDBG_ASSERT(processes.size() == topology_.num_processes(),
-              "one Process per topology process required");
-  if (config_.faults) {
-    link_env_ = LinkEnv{config_.faults.get(), config_.reliable, &metrics_,
-                        config_.replay.get()};
-    rel_send_.reserve(topology_.num_channels());
-    rel_recv_.reserve(topology_.num_channels());
-    for (const ChannelSpec& spec : topology_.channels()) {
-      rel_send_.emplace_back(link_env_, spec.id);
-      rel_recv_.emplace_back(link_env_, spec.id);
-    }
+    : RuntimeShell("threads", std::move(topology), config) {
+  if (links_.enabled()) {
     retry_arm_.assign(topology_.num_channels(),
                       SteadyClock::time_point::max());
   }
-  Rng root(config_.seed);
-  workers_.reserve(processes.size());
-  for (std::size_t i = 0; i < processes.size(); ++i) {
-    workers_.push_back(std::make_unique<Worker>(
-        *this, ProcessId(static_cast<std::uint32_t>(i)),
-        std::move(processes[i]), root.fork()));
-  }
+  spawn_workers<Worker>(*this, std::move(processes), config.seed);
 }
 
 Runtime::~Runtime() { shutdown(); }
 
 void Runtime::start() {
   DDBG_ASSERT(!started_.exchange(true), "Runtime::start called twice");
-  clock_.reset();
-  for (auto& worker : workers_) worker->start();
+  launch_workers();
 }
 
 void Runtime::shutdown() {
@@ -425,60 +350,32 @@ void Runtime::shutdown() {
   for (auto& worker : workers_) worker->stop();
 }
 
-void Runtime::post(ProcessId target,
-                   std::function<void(ProcessContext&, Process&)> action) {
-  worker_of(workers_, target).push_closure(std::move(action));
-}
-
-bool Runtime::call(ProcessId target,
-                   std::function<void(ProcessContext&, Process&)> action,
-                   Duration timeout) {
-  auto done = std::make_shared<std::promise<void>>();
-  auto future = done->get_future();
-  post(target, [action = std::move(action), done](ProcessContext& ctx,
-                                                  Process& process) {
-    action(ctx, process);
-    done->set_value();
-  });
-  return future.wait_for(std::chrono::nanoseconds(timeout.ns)) ==
-         std::future_status::ready;
-}
-
-Process& Runtime::process(ProcessId id) {
-  return worker_of(workers_, id).process();
-}
-
 void Runtime::do_send(ProcessId sender, ChannelId channel, Message message) {
-  const ChannelSpec& spec = topology_.channel(channel);
-  DDBG_ASSERT(spec.source == sender,
-              "process may only send on its own outgoing channels");
-  if (message.message_id == 0) {
-    message.message_id = next_message_id_.fetch_add(1);
-  }
+  const ChannelSpec& spec = prepare_send(sender, channel, message);
+  Worker& source = worker_as<Worker>(sender);
   // Wire-size accounting encodes into the sending worker's pooled buffer
   // (do_send runs on the sender's thread), so steady-state sends allocate
   // nothing.
   std::uint32_t wire_bytes = 0;
   {
-    BufferPool::Lease lease = workers_[sender.value()]->pool().acquire();
+    BufferPool::Lease lease = source.pool().acquire();
     metrics_.on_pool_acquire(lease.reused());
     ByteWriter writer(lease.bytes());
     message.encode(writer);
     wire_bytes = static_cast<std::uint32_t>(writer.size());
   }
   metrics_.on_send(channel.value(), traffic_class(message.kind), wire_bytes);
-  if (config_.faults) {
+  if (links_.enabled()) {
     // Lossy transport: stage in the sending worker's retransmit window
     // (do_send runs on the sender's thread) and transmit under the fault
     // plan; the destination's receiver restores FIFO exactly-once order.
     const std::uint64_t seq =
-        rel_send_[channel.value()].stage(std::move(message), wire_bytes, now());
-    workers_[sender.value()]->rel_transmit(channel, seq);
+        links_.sender(channel).stage(std::move(message), wire_bytes, now());
+    source.rel_transmit(channel, seq);
     return;
   }
-  workers_[spec.destination.value()]->push_delivery(channel,
-                                                    std::move(message),
-                                                    wire_bytes);
+  worker_as<Worker>(spec.destination)
+      .push_delivery(channel, std::move(message), wire_bytes);
 }
 
 }  // namespace ddbg

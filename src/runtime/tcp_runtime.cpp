@@ -15,15 +15,12 @@
 #include <deque>
 #include <map>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 
 #include "common/buffer_pool.hpp"
 #include "common/logging.hpp"
 #include "common/serialization.hpp"
 #include "net/framing.hpp"
-#include "net/reliable_link.hpp"
-#include "runtime/worker.hpp"
 
 namespace ddbg {
 
@@ -136,14 +133,46 @@ bool read_hello(int fd, std::uint32_t& pair) {
 
 }  // namespace
 
+std::optional<TcpFrameHead> demux_frame(const Topology& topology,
+                                        ProcessId self, bool reliable,
+                                        ByteReader& reader) {
+  const auto channel_id = reader.u32();
+  if (!channel_id.ok()) return std::nullopt;
+  TcpFrameHead head;
+  head.channel = ChannelId(channel_id.value());
+  if (reliable) {
+    auto rel = RelHeader::decode(reader);
+    if (!rel.ok()) {
+      DDBG_ERROR() << "tcp: bad reliable frame on channel "
+                   << channel_id.value() << ": " << rel.error().to_string();
+      return std::nullopt;
+    }
+    head.rel = rel.value();
+  }
+  if (channel_id.value() >= topology.num_channels()) {
+    DDBG_ERROR() << "tcp: frame for unknown channel " << channel_id.value()
+                 << " at " << to_string(self);
+    return std::nullopt;
+  }
+  const ChannelSpec& spec = topology.channel(head.channel);
+  const bool ack = head.rel.tag == RelHeader::kAck;
+  if ((ack ? spec.source : spec.destination) != self) {
+    DDBG_ERROR() << "tcp: " << (ack ? "ack" : "frame") << " for foreign "
+                 << to_string(head.channel) << " at " << to_string(self);
+    return std::nullopt;
+  }
+  return head;
+}
+
 // ---------------------------------------------------------------------------
 // Worker
 // ---------------------------------------------------------------------------
 
-class TcpRuntime::Worker {
+class TcpRuntime::Worker final : public WorkerBase {
  public:
-  Worker(TcpRuntime& runtime, ProcessId id, ProcessPtr process, Rng rng);
-  ~Worker();
+  Worker(TcpRuntime& runtime, ProcessId id, ProcessPtr process, Rng rng)
+      : WorkerBase(runtime, id, std::move(process), rng), runtime_(runtime) {}
+  ~Worker() override;
 
   bool init_sockets();           // create listener + wake pipe
   [[nodiscard]] std::uint16_t port() const { return port_; }
@@ -155,13 +184,8 @@ class TcpRuntime::Worker {
   // acceptor side of.
   bool accept_inbound();
 
-  void start();
-  void stop_and_join();
-  void request_stop();
-
-  void push_closure(std::function<void(ProcessContext&, Process&)> action);
-  TimerId add_timer(Duration delay);
-  void cancel_timer(TimerId timer);
+  void request_stop() override;
+  void push_closure(Closure action) override;
 
   // Encode `message` into a pooled frame (channel id + body) and queue it
   // on the channel's pair connection.  Runs on this worker's own thread
@@ -173,10 +197,6 @@ class TcpRuntime::Worker {
   // the fault plan.  Runs on this worker's own thread.
   void rel_send_message(ChannelId channel, const Message& message);
 
-  [[nodiscard]] Process& process() { return *process_; }
-  [[nodiscard]] TcpRuntime& runtime() { return runtime_; }
-  [[nodiscard]] ProcessId id() const { return id_; }
-  [[nodiscard]] Rng& rng() { return rng_; }
   [[nodiscard]] std::uint64_t poll_iterations() const {
     return poll_iterations_.load(std::memory_order_relaxed);
   }
@@ -207,8 +227,8 @@ class TcpRuntime::Worker {
     SteadyClock::time_point reconnect_at = SteadyClock::time_point::max();
   };
 
-  void thread_main();
-  void wake();
+  void run() override;
+  void wake() override;
   void setup_conns();
   void setup_epoll();
   void update_epoll_interest(std::size_t slot);
@@ -242,12 +262,11 @@ class TcpRuntime::Worker {
   // ---- reliability layer (runtime_.config_.faults only) ----
   // The fault and recovery policy is net/reliable_link's; the reactor
   // writes the frames and acks it asks for, and a reset tears down the
-  // pair socket.
-  [[nodiscard]] std::size_t out_slot(ChannelId channel) const;
-  void rel_transmit(std::size_t slot, std::uint64_t seq);
-  void rel_write_data(std::size_t slot, std::uint64_t seq);
-  void rel_write_ack(std::size_t in_slot, std::size_t conn_slot);
-  void rel_write_ack_frame(std::size_t in_slot, std::size_t conn_slot);
+  // pair socket.  Links are the runtime's, indexed by channel id.
+  void rel_transmit(ChannelId channel, std::uint64_t seq);
+  void rel_write_data(ChannelId channel, std::uint64_t seq);
+  void rel_write_ack(ChannelId channel, std::size_t conn_slot);
+  void rel_write_ack_frame(ChannelId channel, std::size_t conn_slot);
   void rel_try_reconnect(std::size_t slot);
   void rel_fire_due();
   void resync_pair(std::uint32_t pair);
@@ -256,10 +275,6 @@ class TcpRuntime::Worker {
   void accept_control_connections();
 
   TcpRuntime& runtime_;
-  ProcessId id_;
-  ProcessPtr process_;
-  Rng rng_;
-  std::unique_ptr<WorkerContext<Worker>> context_;
 
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
@@ -269,34 +284,23 @@ class TcpRuntime::Worker {
   int pipe_write_ = -1;
   int epoll_fd_ = -1;
 
-  // Declared before conns_: the queued frames in PairConn hold leases that
-  // recycle into this pool when destroyed, so the pool must outlive them.
-  BufferPool pool_;
-
   // deque, not vector: PairConn holds move-only pooled leases and must
-  // never be relocated (epoll events reference slots by index).
+  // never be relocated (epoll events reference slots by index).  The
+  // leases recycle into WorkerBase::pool_, which outlives them.
   std::deque<PairConn> conns_;
   // pair index -> the conn slot this worker sends on (side 0 for a
   // self-pair, the worker's only side otherwise).
   std::unordered_map<std::uint32_t, std::uint32_t> send_slot_of_pair_;
-  // Demultiplexing tables: channel id -> dense slot in the in/out arrays.
-  std::unordered_map<std::uint32_t, std::uint32_t> in_slot_of_channel_;
-  std::unordered_map<std::uint32_t, std::uint32_t> out_slot_of_channel_;
-  std::vector<ChannelId> in_channels_;
-  std::vector<ChannelId> out_channels_;
 
   std::size_t frames_this_wakeup_ = 0;
-  // Scratch: in-slots that received data in the current parse batch (one
-  // cumulative ack each).
-  std::vector<std::uint32_t> ack_pending_;
+  // Scratch: in-channels that received data in the current parse batch
+  // (one cumulative ack each).
+  std::vector<ChannelId> ack_pending_;
 
-  // Reliable links; sized only when a FaultPlan is configured.
-  std::vector<LinkSender> rel_send_;   // by out slot
-  std::vector<LinkReceiver> in_recv_;  // by in slot
   // Frames held back by delay/reorder faults, fired by the reactor.
   struct DelayedWire {
     bool is_ack = false;
-    std::size_t slot = 0;       // out slot (data) / in slot (ack)
+    ChannelId channel;          // out-channel (data) / in-channel (ack)
     std::size_t conn_slot = 0;  // ack only: the conn the data arrived on
     std::uint64_t seq = 0;      // data only
   };
@@ -306,42 +310,16 @@ class TcpRuntime::Worker {
   // descriptor number.
   std::vector<int> retired_fds_;
 
-  std::mutex mutex_;
-  std::deque<std::function<void(ProcessContext&, Process&)>> closures_;
-  TimerQueue timers_;
+  // Guarded by WorkerBase::mutex_.
+  std::deque<Closure> closures_;
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> poll_iterations_{0};
-
-  std::thread thread_;
 };
 
-TcpRuntime::Worker::Worker(TcpRuntime& runtime, ProcessId id,
-                           ProcessPtr process, Rng rng)
-    : runtime_(runtime), id_(id), process_(std::move(process)), rng_(rng) {
-  context_ = std::make_unique<WorkerContext<Worker>>(*this);
-  for (const ChannelId channel : runtime_.topology_.out_channels(id_)) {
-    out_slot_of_channel_.emplace(
-        channel.value(), static_cast<std::uint32_t>(out_channels_.size()));
-    out_channels_.push_back(channel);
-  }
-  for (const ChannelId channel : runtime_.topology_.in_channels(id_)) {
-    in_slot_of_channel_.emplace(
-        channel.value(), static_cast<std::uint32_t>(in_channels_.size()));
-    in_channels_.push_back(channel);
-  }
-  if (runtime_.config_.faults) {
-    for (const ChannelId channel : out_channels_) {
-      rel_send_.emplace_back(runtime_.link_env_, channel);
-    }
-    for (const ChannelId channel : in_channels_) {
-      in_recv_.emplace_back(runtime_.link_env_, channel);
-    }
-  }
-}
-
 TcpRuntime::Worker::~Worker() {
-  stop_and_join();
-  for (PairConn& conn : conns_) close_fd(conn.fd);
+  stop();
+  // The live connection fds are the runtime's pair_fd_ entries, which the
+  // runtime closes; the worker closes only what it retired.
   for (int& fd : retired_fds_) close_fd(fd);
   close_fd(listen_fd_);
   close_fd(control_listen_fd_);
@@ -422,18 +400,9 @@ bool TcpRuntime::Worker::accept_inbound() {
   return true;
 }
 
-void TcpRuntime::Worker::start() {
-  thread_ = std::thread([this] { thread_main(); });
-}
-
 void TcpRuntime::Worker::request_stop() {
   stopping_.store(true);
   wake();
-}
-
-void TcpRuntime::Worker::stop_and_join() {
-  request_stop();
-  if (thread_.joinable()) thread_.join();
 }
 
 void TcpRuntime::Worker::wake() {
@@ -443,30 +412,12 @@ void TcpRuntime::Worker::wake() {
   }
 }
 
-void TcpRuntime::Worker::push_closure(
-    std::function<void(ProcessContext&, Process&)> action) {
+void TcpRuntime::Worker::push_closure(Closure action) {
   {
     std::lock_guard<std::mutex> guard{mutex_};
     closures_.push_back(std::move(action));
   }
   wake();
-}
-
-TimerId TcpRuntime::Worker::add_timer(Duration delay) {
-  const TimerId id(runtime_.next_timer_id_.fetch_add(1));
-  const auto deadline =
-      SteadyClock::now() + std::chrono::nanoseconds(delay.ns);
-  {
-    std::lock_guard<std::mutex> guard{mutex_};
-    timers_.add(id, deadline);
-  }
-  wake();
-  return id;
-}
-
-void TcpRuntime::Worker::cancel_timer(TimerId timer) {
-  std::lock_guard<std::mutex> guard{mutex_};
-  timers_.cancel(timer);
 }
 
 // The single wakeup-deadline computation: pending closures, the nearest
@@ -687,100 +638,67 @@ void TcpRuntime::Worker::parse_pair_frames(std::size_t slot) {
   ack_pending_.clear();
   while (const auto body = parser.next()) {
     ++frames_this_wakeup_;
-    if (body->size() < kChannelPrefixSize) continue;
     ByteReader reader(*body);
-    std::uint32_t channel_id = 0;
-    {
-      const auto ch = reader.u32();
-      if (!ch.ok()) continue;
-      channel_id = ch.value();
-    }
-    if (!runtime_.config_.faults) {
-      const auto it = in_slot_of_channel_.find(channel_id);
-      if (it == in_slot_of_channel_.end()) {
-        DDBG_ERROR() << "tcp: frame for foreign channel " << channel_id
-                     << " on pair " << conn.pair;
-        continue;
-      }
-      const ChannelId channel = in_channels_[it->second];
-      auto message = Message::decode(reader);
-      if (!message.ok()) {
-        DDBG_ERROR() << "tcp: bad frame on " << to_string(channel) << ": "
-                     << message.error().to_string();
-        continue;
-      }
-      ++delivered;
-      runtime_.metrics_.on_deliver(
-          channel_id, traffic_class(message.value().kind),
-          static_cast<std::uint32_t>(body->size() - kChannelPrefixSize));
-      runtime_.metrics_.observe_backlog(channel_id, parser.buffered_bytes());
-      process_->on_message(*context_, channel,
-                           std::move(message).value());
+    const bool reliable = runtime_.config_.faults != nullptr;
+    const auto head = demux_frame(runtime_.topology_, id_, reliable, reader);
+    if (!head.has_value()) continue;
+    const ChannelId channel = head->channel;
+    if (head->rel.tag == RelHeader::kAck) {
+      runtime_.links_.sender(channel).ack(head->rel.cum_ack);
       continue;
     }
-    auto header = RelHeader::decode(reader);
-    if (!header.ok()) {
-      DDBG_ERROR() << "tcp: bad reliable frame on channel " << channel_id
-                   << ": " << header.error().to_string();
-      continue;
-    }
-    if (header.value().tag == RelHeader::kAck) {
-      const auto it = out_slot_of_channel_.find(channel_id);
-      if (it == out_slot_of_channel_.end()) continue;
-      rel_send_[it->second].ack(header.value().cum_ack);
-      continue;
-    }
-    const auto it = in_slot_of_channel_.find(channel_id);
-    if (it == in_slot_of_channel_.end()) {
-      DDBG_ERROR() << "tcp: frame for foreign channel " << channel_id
-                   << " on pair " << conn.pair;
-      continue;
-    }
-    const std::uint32_t in_idx = it->second;
-    const ChannelId channel = in_channels_[in_idx];
     auto message = Message::decode(reader);
     if (!message.ok()) {
       DDBG_ERROR() << "tcp: bad frame on " << to_string(channel) << ": "
                    << message.error().to_string();
       continue;
     }
+    if (!reliable) {
+      ++delivered;
+      runtime_.metrics_.on_deliver(
+          channel.value(), traffic_class(message.value().kind),
+          static_cast<std::uint32_t>(body->size() - kChannelPrefixSize));
+      runtime_.metrics_.observe_backlog(channel.value(),
+                                        parser.buffered_bytes());
+      process_->on_message(*context_, channel, std::move(message).value());
+      continue;
+    }
     const std::uint64_t wire =
         body->size() - kChannelPrefixSize - kRelHeaderSize;
     static thread_local std::vector<ReliableReceiver::Delivery> releases;
     releases.clear();
-    in_recv_[in_idx].on_frame(header.value().seq, std::move(message).value(),
-                              wire, releases);
+    runtime_.links_.receiver(channel).on_frame(
+        head->rel.seq, std::move(message).value(), wire, releases);
     for (auto& release : releases) {
       ++delivered;
       runtime_.metrics_.on_deliver(
-          channel_id, traffic_class(release.message.kind),
+          channel.value(), traffic_class(release.message.kind),
           static_cast<std::uint32_t>(release.meta));
       process_->on_message(*context_, channel, std::move(release.message));
     }
-    runtime_.metrics_.observe_backlog(channel_id, parser.buffered_bytes());
-    if (std::find(ack_pending_.begin(), ack_pending_.end(), in_idx) ==
+    runtime_.metrics_.observe_backlog(channel.value(),
+                                      parser.buffered_bytes());
+    if (std::find(ack_pending_.begin(), ack_pending_.end(), channel) ==
         ack_pending_.end()) {
-      ack_pending_.push_back(in_idx);
+      ack_pending_.push_back(channel);
     }
   }
   // One cumulative ack per channel per drained batch — it carries the
   // furthest in-order point whether the batch delivered, buffered or
   // suppressed.
-  for (const std::uint32_t in_idx : ack_pending_) {
-    rel_write_ack(in_idx, slot);
-  }
+  for (const ChannelId channel : ack_pending_) rel_write_ack(channel, slot);
   ack_pending_.clear();
   if (delivered > 0) runtime_.metrics_.on_deliver_batch(delivered);
 }
 
-void TcpRuntime::Worker::thread_main() {
+void TcpRuntime::Worker::run() {
   setup_conns();
   setup_epoll();
   process_->on_start(*context_);
   flush_sends();
 
   epoll_event events[kMaxEpollEvents];
-  std::deque<std::function<void(ProcessContext&, Process&)>> batch;
+  std::deque<Closure> batch;
   while (!stopping_.load()) {
     poll_iterations_.fetch_add(1, std::memory_order_relaxed);
     const int timeout = next_timeout_ms();
@@ -1025,16 +943,8 @@ void TcpRuntime::Worker::flush_sends() {
 // Worker: reliability layer
 // ---------------------------------------------------------------------------
 
-std::size_t TcpRuntime::Worker::out_slot(ChannelId channel) const {
-  const auto it = out_slot_of_channel_.find(channel.value());
-  DDBG_ASSERT(it != out_slot_of_channel_.end(),
-              "channel is not sourced by this worker");
-  return it->second;
-}
-
 void TcpRuntime::Worker::rel_send_message(ChannelId channel,
                                           const Message& message) {
-  const std::size_t slot = out_slot(channel);
   // Bytes accounted once per logical send, like the bare-TCP path; the
   // wire frame itself is rebuilt per transmission attempt, and the size is
   // stashed alongside the staged message so retransmissions never
@@ -1043,26 +953,25 @@ void TcpRuntime::Worker::rel_send_message(ChannelId channel,
   runtime_.metrics_.on_send(channel.value(), traffic_class(message.kind),
                             static_cast<std::uint32_t>(wire));
   const std::uint64_t seq =
-      rel_send_[slot].stage(message, wire, runtime_.now());
-  rel_transmit(slot, seq);
+      runtime_.links_.sender(channel).stage(message, wire, runtime_.now());
+  rel_transmit(channel, seq);
 }
 
-void TcpRuntime::Worker::rel_transmit(std::size_t slot, std::uint64_t seq) {
-  const auto tx = rel_send_[slot].transmit(seq);
+void TcpRuntime::Worker::rel_transmit(ChannelId channel, std::uint64_t seq) {
+  const auto tx = runtime_.links_.sender(channel).transmit(seq);
   if (!tx.has_value()) return;  // acked meanwhile
   if (tx->reset) {
     // Connection torn down under the frame: quarantine the pair socket
     // and redial after a backoff.  Resync on the fresh connection replays
     // the whole unacked window, this frame included.  The link counted
     // the loss.
-    const std::uint32_t pair =
-        runtime_.channel_pair_[out_channels_[slot].value()];
+    const std::uint32_t pair = runtime_.channel_pair_[channel.value()];
     conn_down(send_slot_of_pair_.at(pair), /*count_loss=*/false);
     return;
   }
   for (std::uint8_t i = 0; i < tx->copies; ++i) {
     if (tx->extra_delay.ns <= 0) {
-      rel_write_data(slot, seq);
+      rel_write_data(channel, seq);
       continue;
     }
     // Held back and fired by the reactor; later frames on the channel
@@ -1070,14 +979,15 @@ void TcpRuntime::Worker::rel_transmit(std::size_t slot, std::uint64_t seq) {
     // the order back.
     delayed_.emplace(
         SteadyClock::now() + std::chrono::nanoseconds(tx->extra_delay.ns),
-        DelayedWire{false, slot, 0, seq});
+        DelayedWire{false, channel, 0, seq});
   }
 }
 
-void TcpRuntime::Worker::rel_write_data(std::size_t slot, std::uint64_t seq) {
-  const ReliableSender::Staged* staged = rel_send_[slot].peek(seq);
+void TcpRuntime::Worker::rel_write_data(ChannelId channel,
+                                        std::uint64_t seq) {
+  const ReliableSender::Staged* staged =
+      runtime_.links_.sender(channel).peek(seq);
   if (staged == nullptr) return;  // acked before a delayed copy fired
-  const ChannelId channel = out_channels_[slot];
   BufferPool::Lease lease = pool_.acquire();
   runtime_.metrics_.on_pool_acquire(lease.reused());
   Bytes& frame = lease.bytes();
@@ -1093,26 +1003,25 @@ void TcpRuntime::Worker::rel_write_data(std::size_t slot, std::uint64_t seq) {
   queue_frame(channel, std::move(lease));
 }
 
-void TcpRuntime::Worker::rel_write_ack(std::size_t in_slot,
+void TcpRuntime::Worker::rel_write_ack(ChannelId channel,
                                        std::size_t conn_slot) {
-  const auto ack = in_recv_[in_slot].ack();
+  const auto ack = runtime_.links_.receiver(channel).ack();
   if (!ack.has_value()) return;
   if (ack->extra_delay.ns > 0) {
     delayed_.emplace(
         SteadyClock::now() + std::chrono::nanoseconds(ack->extra_delay.ns),
-        DelayedWire{true, in_slot, conn_slot, 0});
+        DelayedWire{true, channel, conn_slot, 0});
     return;
   }
-  rel_write_ack_frame(in_slot, conn_slot);
+  rel_write_ack_frame(channel, conn_slot);
 }
 
-void TcpRuntime::Worker::rel_write_ack_frame(std::size_t in_slot,
+void TcpRuntime::Worker::rel_write_ack_frame(ChannelId channel,
                                              std::size_t conn_slot) {
   // The ack rides the same pair socket the data arrived on (full duplex);
   // if that connection is being replaced, resync re-acks.
   const PairConn& conn = conns_[conn_slot];
   if (conn.fd < 0 || !conn.write_open) return;
-  const ChannelId channel = in_channels_[in_slot];
   BufferPool::Lease lease = pool_.acquire();
   runtime_.metrics_.on_pool_acquire(lease.reused());
   Bytes& frame = lease.bytes();
@@ -1121,7 +1030,7 @@ void TcpRuntime::Worker::rel_write_ack_frame(std::size_t in_slot,
   writer.u32(channel.value());
   RelHeader header;
   header.tag = RelHeader::kAck;
-  header.cum_ack = in_recv_[in_slot].cum_ack();
+  header.cum_ack = runtime_.links_.receiver(channel).cum_ack();
   header.encode(writer);
   end_frame(frame, header_at);
   queue_frame_on(conn_slot, channel, std::move(lease));
@@ -1131,11 +1040,9 @@ void TcpRuntime::Worker::resync_pair(std::uint32_t pair) {
   // Everything unacked on this worker's out-channels crossing the pair
   // becomes due at once and flows out through the normal retransmit path
   // (counted as both replayed and retransmits).
-  for (std::size_t slot = 0; slot < out_channels_.size(); ++slot) {
-    if (runtime_.channel_pair_[out_channels_[slot].value()] != pair) {
-      continue;
-    }
-    rel_send_[slot].resync(runtime_.now());
+  for (const ChannelId channel : runtime_.topology_.out_channels(id_)) {
+    if (runtime_.channel_pair_[channel.value()] != pair) continue;
+    runtime_.links_.sender(channel).resync(runtime_.now());
   }
 }
 
@@ -1147,7 +1054,8 @@ void TcpRuntime::Worker::rel_try_reconnect(std::size_t slot) {
     return;
   }
   const HostPair& pair = runtime_.pairs_[conn.pair];
-  const int fd = dial_pair(runtime_.workers_[pair.b]->port(), conn.pair);
+  const int fd = dial_pair(
+      runtime_.worker_as<Worker>(ProcessId(pair.b)).port(), conn.pair);
   if (fd < 0 || !prepare_pair_socket(fd, runtime_.config_)) {
     if (fd >= 0) ::close(fd);
     conn.reconnect_at =
@@ -1156,7 +1064,7 @@ void TcpRuntime::Worker::rel_try_reconnect(std::size_t slot) {
     return;
   }
   adopt_fd(slot, fd);
-  runtime_.link_env_.on_reconnect(pair.first_channel);
+  runtime_.links_.on_reconnect(pair.first_channel);
   resync_pair(conn.pair);
 }
 
@@ -1176,7 +1084,7 @@ void TcpRuntime::Worker::accept_runtime_connection() {
       return;
     }
     adopt_fd(slot, fd);
-    // in_recv_ state survives on purpose: its delivered-prefix state is
+    // Receiver state survives on purpose: its delivered-prefix state is
     // exactly what suppresses the replayed frames the reconnecting peer
     // is about to resend.  Our own unacked sends replay too — the peer's
     // receiver suppresses what it already saw.
@@ -1215,15 +1123,15 @@ void TcpRuntime::Worker::rel_fire_due() {
     delayed_.erase(delayed_.begin());
     // No second fault roll: the frame already paid its delay.
     if (wire.is_ack) {
-      rel_write_ack_frame(wire.slot, wire.conn_slot);
+      rel_write_ack_frame(wire.channel, wire.conn_slot);
     } else {
-      rel_write_data(wire.slot, wire.seq);
+      rel_write_data(wire.channel, wire.seq);
     }
   }
-  for (std::size_t slot = 0; slot < out_channels_.size(); ++slot) {
+  for (const ChannelId channel : runtime_.topology_.out_channels(id_)) {
     for (const std::uint64_t seq :
-         rel_send_[slot].retransmits(runtime_.now())) {
-      rel_transmit(slot, seq);
+         runtime_.links_.sender(channel).retransmits(runtime_.now())) {
+      rel_transmit(channel, seq);
     }
   }
 }
@@ -1236,8 +1144,8 @@ SteadyClock::time_point TcpRuntime::Worker::rel_next_deadline() const {
   if (!delayed_.empty() && delayed_.begin()->first < deadline) {
     deadline = delayed_.begin()->first;
   }
-  for (const auto& sender : rel_send_) {
-    if (const auto next = sender.next_deadline()) {
+  for (const ChannelId channel : runtime_.topology_.out_channels(id_)) {
+    if (const auto next = runtime_.links_.sender(channel).next_deadline()) {
       const auto when = runtime_.clock_.at(*next);
       if (when < deadline) deadline = when;
     }
@@ -1251,11 +1159,8 @@ SteadyClock::time_point TcpRuntime::Worker::rel_next_deadline() const {
 
 TcpRuntime::TcpRuntime(Topology topology, std::vector<ProcessPtr> processes,
                        TcpRuntimeConfig config)
-    : topology_(std::move(topology)),
-      config_(config),
-      metrics_("tcp", topology_.num_processes(), channel_meta(topology_)) {
-  DDBG_ASSERT(processes.size() == topology_.num_processes(),
-              "one Process per topology process required");
+    : RuntimeShell("tcp", std::move(topology), config),
+      config_(std::move(config)) {
   // Enumerate host pairs: every unordered process pair with at least one
   // channel gets exactly one connection, shared by all its channels.
   channel_pair_.resize(topology_.num_channels());
@@ -1281,19 +1186,8 @@ TcpRuntime::TcpRuntime(Topology topology, std::vector<ProcessPtr> processes,
     metrics_.observe_mux_channels(pair.num_channels);
   }
   pair_fd_ = std::vector<std::atomic<int>>(2 * pairs_.size());
-  if (config_.faults) {
-    link_env_ = LinkEnv{config_.faults.get(), config_.reliable, &metrics_,
-                        config_.replay.get()};
-  }
   for (auto& fd : pair_fd_) fd.store(-1, std::memory_order_relaxed);
-
-  Rng root(config_.seed);
-  workers_.reserve(processes.size());
-  for (std::size_t i = 0; i < processes.size(); ++i) {
-    workers_.push_back(std::make_unique<Worker>(
-        *this, ProcessId(static_cast<std::uint32_t>(i)),
-        std::move(processes[i]), root.fork()));
-  }
+  spawn_workers<Worker>(*this, std::move(processes), config_.seed);
 }
 
 TcpRuntime::~TcpRuntime() {
@@ -1306,7 +1200,8 @@ TcpRuntime::~TcpRuntime() {
 
 std::uint16_t TcpRuntime::control_port() const {
   for (const auto& worker : workers_) {
-    if (worker->control_port() != 0) return worker->control_port();
+    const std::uint16_t port = static_cast<Worker&>(*worker).control_port();
+    if (port != 0) return port;
   }
   return 0;
 }
@@ -1322,20 +1217,22 @@ std::size_t TcpRuntime::max_channels_per_socket() const {
 bool TcpRuntime::start() {
   DDBG_ASSERT(!started_.exchange(true), "TcpRuntime::start called twice");
   for (auto& worker : workers_) {
-    if (!worker->init_sockets()) return false;
+    if (!static_cast<Worker&>(*worker).init_sockets()) return false;
   }
   if (config_.on_control_accept) {
     // The control listener lives on the debugger's worker so accepted
     // sessions share a reactor with the process they drive.
     const std::uint32_t host =
         topology_.has_debugger() ? topology_.debugger_id().value() : 0;
-    if (!workers_[host]->init_control_listener()) return false;
+    if (!worker_as<Worker>(ProcessId(host)).init_control_listener()) {
+      return false;
+    }
   }
   // Connect every pair: side a dials side b's listener and sends the
   // pair-index hello.  Backlogs hold the pending connections until the
   // acceptors drain them below.
   for (std::size_t p = 0; p < pairs_.size(); ++p) {
-    const int fd = dial_pair(workers_[pairs_[p].b]->port(),
+    const int fd = dial_pair(worker_as<Worker>(ProcessId(pairs_[p].b)).port(),
                              static_cast<std::uint32_t>(p));
     if (fd < 0) return false;
     if (!prepare_pair_socket(fd, config_)) {
@@ -1345,10 +1242,9 @@ bool TcpRuntime::start() {
     pair_fd_[2 * p].store(fd);
   }
   for (auto& worker : workers_) {
-    if (!worker->accept_inbound()) return false;
+    if (!static_cast<Worker&>(*worker).accept_inbound()) return false;
   }
-  clock_.reset();
-  for (auto& worker : workers_) worker->start();
+  launch_workers();
   return true;
 }
 
@@ -1363,38 +1259,25 @@ void TcpRuntime::shutdown() {
     const int fd = slot.load();
     if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
   }
-  for (auto& worker : workers_) worker->stop_and_join();
-}
-
-void TcpRuntime::post(ProcessId target,
-                      std::function<void(ProcessContext&, Process&)> action) {
-  worker_of(workers_, target).push_closure(std::move(action));
-}
-
-Process& TcpRuntime::process(ProcessId id) {
-  return worker_of(workers_, id).process();
+  for (auto& worker : workers_) worker->stop();
 }
 
 void TcpRuntime::do_send(ProcessId sender, ChannelId channel,
                          Message message) {
-  const ChannelSpec& spec = topology_.channel(channel);
-  DDBG_ASSERT(spec.source == sender,
-              "process may only send on its own outgoing channels");
-  if (message.message_id == 0) {
-    message.message_id = next_message_id_.fetch_add(1);
-  }
+  prepare_send(sender, channel, message);
+  Worker& source = worker_as<Worker>(sender);
   if (config_.faults) {
     // Reliability path: stage in the sending worker's retransmit window
     // and transmit under the fault plan.  The pair is legitimately down
     // mid-reconnect; the window replays once the new connection is up.
-    workers_[sender.value()]->rel_send_message(channel, message);
+    source.rel_send_message(channel, message);
     return;
   }
   // do_send runs on the sender's own worker thread, so the frame encodes
   // into that worker's pooled buffer and queues on the pair connection: a
   // handler emitting several messages pays one gathered write, and
   // steady-state sends allocate nothing.
-  workers_[sender.value()]->stage_send(channel, message);
+  source.stage_send(channel, message);
 }
 
 void TcpRuntime::half_close_channel(ChannelId channel) {
@@ -1408,7 +1291,9 @@ void TcpRuntime::half_close_channel(ChannelId channel) {
 
 std::uint64_t TcpRuntime::poll_iterations() const {
   std::uint64_t total = 0;
-  for (const auto& worker : workers_) total += worker->poll_iterations();
+  for (const auto& worker : workers_) {
+    total += static_cast<const Worker&>(*worker).poll_iterations();
+  }
   return total;
 }
 

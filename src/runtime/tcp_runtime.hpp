@@ -25,39 +25,29 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "common/ids.hpp"
-#include "common/result.hpp"
-#include "common/time.hpp"
-#include "net/fault_plan.hpp"
+#include "common/serialization.hpp"
 #include "net/process.hpp"
 #include "net/reliable.hpp"
-#include "net/reliable_link.hpp"
-#include "net/replay_hooks.hpp"
 #include "net/topology.hpp"
-#include "net/transport_hooks.hpp"
 #include "runtime/worker.hpp"
 
 namespace ddbg {
 
-struct TcpRuntimeConfig {
-  std::uint64_t seed = 1;
-  // Fault adversary.  When set, every frame carries a reliability header
-  // after its channel id (per-channel sequence numbers out, cumulative
-  // acks back on the same pair socket), sends are held in a retransmit
-  // window until acked, and a connection reset — injected or real —
-  // triggers reconnect-with-resync: the pair's dialer side re-dials the
-  // acceptor's listener and both sides replay every unacked frame, with
-  // receivers suppressing what they already saw.  Null (default) keeps
-  // the bare-TCP fast path untouched.
-  std::shared_ptr<FaultPlan> faults;
-  ReliableConfig reliable;
+// RuntimeConfig's fields, plus the socket and control-listener options.
+// With RuntimeConfig::faults set, every frame carries a reliability header
+// after its channel id (per-channel sequence numbers out, cumulative acks
+// back on the same pair socket), sends are held in a retransmit window
+// until acked, and a connection reset (injected or real) triggers
+// reconnect-with-resync: the pair's dialer side re-dials the acceptor's
+// listener and both sides replay every unacked frame, with receivers
+// suppressing what they already saw.
+struct TcpRuntimeConfig : RuntimeConfig {
   // Socket-buffer overrides applied to every pair socket; 0 keeps the
   // kernel default.  Tests set a tiny SO_SNDBUF to force EAGAIN/partial
   // writes on the nonblocking send path deterministically.
@@ -69,48 +59,35 @@ struct TcpRuntimeConfig {
   // must not block the reactor — SessionServer::adopt only registers the
   // fd and spawns a service thread, which is the intended receiver.
   std::function<void(int fd)> on_control_accept;
-  // Record/replay sink (src/replay).  The reactor appends transport-level
-  // annotations — fault draws, reconnects, resync replays — as diagnostic
-  // provenance; the user-boundary inputs are recorded by the DebugShims.
-  // Null (default) leaves every path untouched.
-  std::shared_ptr<ReplaySink> replay;
 };
 
-class TcpRuntime {
+// The head of one frame body read off a pair socket: the channel it
+// belongs to and, with reliability on, its RelHeader (a bare frame reads
+// as data).
+struct TcpFrameHead {
+  ChannelId channel;
+  RelHeader rel;
+};
+
+// Read and check the head of a frame body that arrived at process `self`'s
+// worker, leaving `reader` at the message (data) or at the end (ack).  The
+// channel id must name a channel of `topology`; a data frame's channel
+// must end at `self` and an ack's must start there.  A frame failing any
+// check is logged and yields nullopt: the caller drops it.
+[[nodiscard]] std::optional<TcpFrameHead> demux_frame(
+    const Topology& topology, ProcessId self, bool reliable,
+    ByteReader& reader);
+
+class TcpRuntime : public RuntimeShell {
  public:
   TcpRuntime(Topology topology, std::vector<ProcessPtr> processes,
              TcpRuntimeConfig config = {});
   ~TcpRuntime();
 
-  TcpRuntime(const TcpRuntime&) = delete;
-  TcpRuntime& operator=(const TcpRuntime&) = delete;
-
   // Bind/listen/connect one socket per host pair, then launch the process
   // threads.  Returns false (with everything torn down) if setup fails.
   bool start();
   void shutdown();
-
-  // Post a closure to run on `target`'s thread, in process context.
-  void post(ProcessId target,
-            std::function<void(ProcessContext&, Process&)> action);
-
-  // The same wait as Runtime::wait_until: blocks on the process-wide
-  // ProgressSignal, which every threaded runtime's workers notify.
-  static bool wait_until(const std::function<bool()>& condition,
-                         Duration timeout) {
-    return progress_signal().wait_until(condition, timeout);
-  }
-
-  [[nodiscard]] const Topology& topology() const { return topology_; }
-  [[nodiscard]] Process& process(ProcessId id);
-  [[nodiscard]] TransportStats stats() const {
-    return transport_stats_from(metrics_);
-  }
-  [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
-  [[nodiscard]] const obs::MetricsRegistry& metrics() const {
-    return metrics_;
-  }
-  [[nodiscard]] TimePoint now() const { return clock_.now(); }
 
   // Port of the debugger-session control listener; 0 when
   // on_control_accept is unset or start() has not run.
@@ -156,27 +133,16 @@ class TcpRuntime {
 
   void do_send(ProcessId sender, ChannelId channel, Message message);
 
-  Topology topology_;
   TcpRuntimeConfig config_;
-  obs::MetricsRegistry metrics_;
-  // Shared by every worker's link halves; set only when config_.faults.
-  LinkEnv link_env_;
-  std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<HostPair> pairs_;
   std::vector<std::uint32_t> channel_pair_;  // ChannelId -> pair index
   std::vector<std::vector<std::uint32_t>> pairs_of_process_;
   // fd of each end of each pair connection, indexed 2 * pair + side.
   // Atomic because with reliability enabled the owning worker replaces the
   // fd on reconnect while shutdown()/half_close_channel() read it from
-  // another thread.
+  // another thread.  Each live entry is also its worker's connection fd;
+  // the runtime closes it.
   std::vector<std::atomic<int>> pair_fd_;
-  std::atomic<std::uint64_t> next_message_id_{1};
-  // Per-runtime (not static): ids restart at 1 for every instance, so runs
-  // are deterministic per instance and long test suites cannot wrap.
-  std::atomic<std::uint32_t> next_timer_id_{1};
-  std::atomic<bool> started_{false};
-  std::atomic<bool> stopped_{false};
-  RuntimeClock clock_;
 };
 
 }  // namespace ddbg

@@ -89,7 +89,8 @@ Simulation::Simulation(Topology topology, std::vector<ProcessPtr> processes,
       processes_(std::move(processes)),
       config_(std::move(config)),
       rng_(config_.seed),
-      metrics_("sim", topology_.num_processes(), channel_meta(topology_)) {
+      metrics_("sim", topology_.num_processes(), channel_meta(topology_)),
+      links_(topology_, config_.faults, config_.reliable, metrics_, nullptr) {
   DDBG_ASSERT(processes_.size() == topology_.num_processes(),
               "one Process per topology process required");
   if (!config_.latency) {
@@ -110,17 +111,7 @@ Simulation::Simulation(Topology topology, std::vector<ProcessPtr> processes,
   channel_clear_time_.assign(topology_.num_channels(), TimePoint{0});
   channel_in_flight_.assign(topology_.num_channels(), 0);
   channel_send_seq_.assign(topology_.num_channels(), 0);
-  if (config_.faults) {
-    link_env_ = LinkEnv{config_.faults.get(), config_.reliable, &metrics_,
-                        nullptr};
-    rel_send_.reserve(topology_.num_channels());
-    rel_recv_.reserve(topology_.num_channels());
-    for (const ChannelSpec& spec : topology_.channels()) {
-      rel_send_.emplace_back(link_env_, spec.id);
-      rel_recv_.emplace_back(link_env_, spec.id);
-    }
-    retry_pending_.assign(topology_.num_channels(), 0);
-  }
+  if (config_.faults) retry_pending_.assign(topology_.num_channels(), 0);
 
   // Schedule on_start for every process at t=0, in id order.
   for (std::size_t i = 0; i < processes_.size(); ++i) {
@@ -532,15 +523,15 @@ void Simulation::dispatch(Lane* lane, Event& event) {
       on_rel_frame(lane, event);
       break;
     case Event::Kind::kRelAck:
-      rel_send_[event.channel.value()].ack(event.rel_seq);
+      links_.sender(event.channel).ack(event.rel_seq);
       break;
     case Event::Kind::kRelRetry:
       retry_pending_[event.channel.value()] = 0;
       check_retries(lane, at, event.channel);
       break;
     case Event::Kind::kRelRestore:
-      link_env_.on_reconnect(event.channel);
-      rel_send_[event.channel.value()].resync(at);
+      links_.on_reconnect(event.channel);
+      links_.sender(event.channel).resync(at);
       check_retries(lane, at, event.channel);
       break;
   }
@@ -607,7 +598,7 @@ void Simulation::do_send(Lane* lane, ProcessId sender, TimePoint at,
     // Lossy transport: stage in the retransmit window, then subject the
     // first physical transmission attempt to the fault plan.  In-order
     // release is the receiver's job, so no FIFO floor here.
-    const std::uint64_t seq = rel_send_[channel.value()].stage(
+    const std::uint64_t seq = links_.sender(channel).stage(
         std::move(message), wire_bytes, at);
     transmit_frame(lane, at, channel, seq);
     schedule_retry_check(lane, at, channel);
@@ -650,7 +641,7 @@ Duration Simulation::sample_latency(ChannelId channel, std::uint64_t key) {
 
 void Simulation::transmit_frame(Lane* lane, TimePoint at, ChannelId channel,
                                 std::uint64_t seq) {
-  const auto tx = rel_send_[channel.value()].transmit(seq);
+  const auto tx = links_.sender(channel).transmit(seq);
   if (!tx.has_value()) return;  // acked while a retry was queued
   const auto frame_event = [&](Duration delay) {
     auto event = std::make_unique<Event>();
@@ -688,7 +679,7 @@ void Simulation::schedule_retry_check(Lane* lane, TimePoint at,
                                       ChannelId channel) {
   const std::size_t c = channel.value();
   if (retry_pending_[c] != 0) return;
-  const auto deadline = rel_send_[c].next_deadline();
+  const auto deadline = links_.sender(channel).next_deadline();
   if (!deadline.has_value()) return;
   retry_pending_[c] = 1;
   auto event = std::make_unique<Event>();
@@ -700,14 +691,14 @@ void Simulation::schedule_retry_check(Lane* lane, TimePoint at,
 }
 
 void Simulation::check_retries(Lane* lane, TimePoint at, ChannelId channel) {
-  for (const std::uint64_t seq : rel_send_[channel.value()].retransmits(at)) {
+  for (const std::uint64_t seq : links_.sender(channel).retransmits(at)) {
     transmit_frame(lane, at, channel, seq);
   }
   schedule_retry_check(lane, at, channel);
 }
 
 void Simulation::on_rel_frame(Lane* lane, Event& event) {
-  LinkReceiver& receiver = rel_recv_[event.channel.value()];
+  LinkReceiver& receiver = links_.receiver(event.channel);
   std::vector<ReliableReceiver::Delivery> released;
   receiver.on_frame(event.rel_seq, std::move(event.message), event.wire_bytes,
                     released);

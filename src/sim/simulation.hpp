@@ -282,13 +282,8 @@ class Simulation {
   // Per-channel send counts, keying the stateless latency streams.
   std::vector<std::uint64_t> channel_send_seq_;
 
-  // Reliability state, indexed by channel; empty unless config_.faults.
-  // Sender-side state is touched only by the channel source's dispatch
-  // context, receiver-side only by the destination's.
-  LinkEnv link_env_;
-  std::vector<LinkSender> rel_send_;
-  std::vector<LinkReceiver> rel_recv_;
-  std::vector<char> retry_pending_;  // a kRelRetry event is queued
+  // Per channel: a kRelRetry event is queued; empty unless config_.faults.
+  std::vector<char> retry_pending_;
 
   // Parallel engine state; lanes_ is sized on first parallel run (deque:
   // lanes hold move-only staging state and never relocate).
@@ -299,6 +294,10 @@ class Simulation {
   std::vector<std::unordered_map<std::uint64_t, std::uint64_t>> seq_bind_;
 
   obs::MetricsRegistry metrics_;
+  // Reliable links; empty unless config_.faults.  Sender halves are touched
+  // only by the channel source's dispatch context, receiver halves only by
+  // the destination's.
+  LinkTable links_;
   // Wire-size accounting encodes every sent message; the pool keeps that
   // from allocating per send.  Coordinator-only, like the queue: workers
   // stage a kPoolAcquire effect and encode into their lane scratch buffer

@@ -5,15 +5,19 @@ Starts ddbg_target's ring workload, runs the scripted command cycle in
 examples/smoke.ddbg through `ddbg --batch`, then four concurrent sessions
 that each inspect, halt, read the state and resume.  Each session must
 exit 0 (its --assert substrings found) and print a halt and a resume.
-Finally the target is stopped through its stop file and the metrics JSON it
-writes is checked with tools/validate_metrics.py.
+Then the target is stopped through its stop file and the metrics JSON it
+writes is checked with tools/validate_metrics.py.  Finally a greedy
+resource ring is started and examples/deadlock.ddbg must find its
+circular wait ("DEADLOCK: cycle").
 
-Usage:  ddbg_batch_smoke.py DDBG_TARGET DDBG SMOKE_SCRIPT VALIDATE_METRICS WORKDIR
+Usage:  ddbg_batch_smoke.py DDBG_TARGET DDBG SMOKE_SCRIPT DEADLOCK_SCRIPT
+                            VALIDATE_METRICS WORKDIR
 """
 import os
 import shutil
 import subprocess
 import sys
+import time
 
 SESSIONS = 4
 
@@ -34,10 +38,44 @@ def finish(proc, name):
     return out
 
 
+def wait_for_file(path, target, seconds=60):
+    """Wait until the target has published `path` (or has exited)."""
+    deadline = time.monotonic() + seconds
+    while not os.path.exists(path):
+        if target.poll() is not None:
+            sys.exit("ddbg_batch_smoke: ddbg_target exited %d before "
+                     "publishing %s" % (target.returncode, path))
+        if time.monotonic() > deadline:
+            sys.exit("ddbg_batch_smoke: no port file at %s" % path)
+        time.sleep(0.01)
+
+
+def deadlock_verdict(target_bin, ddbg_bin, script, workdir):
+    port_file = os.path.join(workdir, "resources.port")
+    stop_file = os.path.join(workdir, "resources.stop")
+    target = subprocess.Popen(
+        [target_bin, "--workload", "resources", "--n", "4",
+         "--port-file", port_file, "--stop-file", stop_file,
+         "--run-for", "120"])
+    try:
+        wait_for_file(port_file, target)
+        finish(ddbg(ddbg_bin, port_file, script, ["DEADLOCK: cycle"]),
+               "deadlock.ddbg")
+        open(stop_file, "w").close()
+        if target.wait(timeout=60) != 0:
+            sys.exit("ddbg_batch_smoke: resource ring target exited %d"
+                     % target.returncode)
+    finally:
+        if target.poll() is None:
+            target.kill()
+            target.wait()
+
+
 def main():
-    if len(sys.argv) != 6:
+    if len(sys.argv) != 7:
         sys.exit(__doc__)
-    target_bin, ddbg_bin, smoke, validator, workdir = sys.argv[1:]
+    (target_bin, ddbg_bin, smoke, deadlock, validator,
+     workdir) = sys.argv[1:]
     shutil.rmtree(workdir, ignore_errors=True)
     os.makedirs(workdir)
     port_file = os.path.join(workdir, "port")
@@ -73,6 +111,7 @@ def main():
             target.wait()
     subprocess.run([sys.executable, validator, metrics], check=True,
                    timeout=60)
+    deadlock_verdict(target_bin, ddbg_bin, deadlock, workdir)
 
 
 if __name__ == "__main__":

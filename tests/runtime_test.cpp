@@ -92,14 +92,13 @@ TEST(Runtime, PostAndCall) {
   Runtime runtime(std::move(topology), std::move(processes));
   runtime.start();
   std::atomic<bool> ran{false};
-  EXPECT_TRUE(runtime.call(
-      ProcessId(0),
-      [&](ProcessContext& ctx, Process&) {
-        EXPECT_EQ(ctx.self(), ProcessId(0));
-        ran = true;
-      },
-      kWait));
-  EXPECT_TRUE(ran.load());
+  std::atomic<bool> on_own_thread{false};
+  runtime.post(ProcessId(0), [&](ProcessContext& ctx, Process&) {
+    on_own_thread = ctx.self() == ProcessId(0);
+    ran = true;
+  });
+  EXPECT_TRUE(Runtime::wait_until([&] { return ran.load(); }, kWait));
+  EXPECT_TRUE(on_own_thread.load());
   runtime.shutdown();
 }
 

@@ -315,6 +315,47 @@ TEST(SessionServerTcp, FullCommandCycle) {
       [&] { return target.server.active_sessions() == 0; }, kWait));
 }
 
+// After halt -> resume, `state` must follow the next halt, not keep
+// answering with the resumed wave: here a breakpoint halts the system and
+// `state` has to return the breakpoint's S_h.
+TEST(SessionServerTcp, StateAfterResumeReadsTheBreakpointHalt) {
+  TcpTarget target;
+  ASSERT_TRUE(target.start());
+  SessionClient client;
+  ASSERT_TRUE(client.connect(target.port()).ok());
+  ASSERT_TRUE(client.call(SessionOp::kHello, "test").ok());
+
+  auto halt = client.call(SessionOp::kHalt);
+  ASSERT_TRUE(halt.ok());
+  ASSERT_TRUE(halt.value().ok()) << halt.value().text;
+  const std::int64_t halted_wave = halt.value().number;
+  auto resume = client.call(SessionOp::kResume);
+  ASSERT_TRUE(resume.ok());
+  ASSERT_TRUE(resume.value().ok()) << resume.value().text;
+
+  auto brk = client.call(SessionOp::kBreak, "p1:tokens_seen>=1");
+  ASSERT_TRUE(brk.ok());
+  ASSERT_TRUE(brk.value().ok()) << brk.value().text;
+  DebuggerProcess& debugger = target.harness.debugger();
+  ASSERT_TRUE(TcpRuntime::wait_until(
+      [&] { return debugger.latest_halt_complete(); }, kWait));
+  const auto breakpoint_wave = debugger.latest_halt_wave();
+  ASSERT_TRUE(breakpoint_wave.has_value());
+  ASSERT_NE(static_cast<std::int64_t>(breakpoint_wave->id), halted_wave);
+
+  auto state = client.call(SessionOp::kState);
+  ASSERT_TRUE(state.ok());
+  ASSERT_TRUE(state.value().ok()) << state.value().text;
+  EXPECT_EQ(state.value().number,
+            static_cast<std::int64_t>(breakpoint_wave->id));
+  EXPECT_EQ(state.value().payload,
+            breakpoint_wave->state.encode_snapshots());
+
+  auto resumed = client.call(SessionOp::kResume);
+  ASSERT_TRUE(resumed.ok());
+  EXPECT_TRUE(resumed.value().ok()) << resumed.value().text;
+}
+
 // A resume the debugger never runs is a timeout, not "resumed", and the
 // halt stays owned until a resume goes through.
 TEST(SessionServerTcp, ResumeTimeoutKeepsHaltOwner) {

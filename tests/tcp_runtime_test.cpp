@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "analysis/consistency.hpp"
@@ -53,6 +54,87 @@ class StartBurst final : public Process {
  private:
   int count_;
 };
+
+// ---------------------------------------------------------------------------
+// Frame demultiplexing: every channel id read off a pair socket is checked
+// before anything is indexed by it.
+// ---------------------------------------------------------------------------
+
+// A frame body as a pair socket carries it: channel id, then (reliable
+// mode) the RelHeader.
+Bytes frame_head(std::uint32_t channel, bool reliable,
+                 std::uint8_t tag = RelHeader::kData) {
+  ByteWriter writer;
+  writer.u32(channel);
+  if (reliable) {
+    RelHeader header;
+    header.tag = tag;
+    header.seq = 7;
+    header.cum_ack = 5;
+    header.encode(writer);
+  }
+  return std::move(writer).take();
+}
+
+std::optional<TcpFrameHead> demux(const Topology& topology, ProcessId self,
+                                  const Bytes& body, bool reliable) {
+  ByteReader reader(body);
+  return demux_frame(topology, self, reliable, reader);
+}
+
+TEST(TcpDemux, RejectsUnknownAndForeignChannels) {
+  // ring(3): c0 = p0 -> p1, c1 = p1 -> p2, c2 = p2 -> p0; demuxing at p1.
+  const Topology topology = Topology::ring(3);
+  const ProcessId self(1);
+  const ChannelId in_channel(0);
+  const ChannelId out_channel(1);
+  const ChannelId unrelated(2);
+  ASSERT_EQ(topology.channel(in_channel).destination, self);
+  ASSERT_EQ(topology.channel(out_channel).source, self);
+  ASSERT_NE(topology.channel(unrelated).source, self);
+  ASSERT_NE(topology.channel(unrelated).destination, self);
+  const auto out_of_range =
+      static_cast<std::uint32_t>(topology.num_channels());
+
+  for (const bool reliable : {false, true}) {
+    SCOPED_TRACE(reliable ? "reliable" : "bare");
+    EXPECT_FALSE(demux(topology, self, frame_head(out_of_range, reliable),
+                       reliable));
+    EXPECT_FALSE(demux(topology, self, frame_head(0xFFFFFFFFu, reliable),
+                       reliable));
+    // Data frames: only on a channel that ends here.
+    for (const ChannelId foreign : {out_channel, unrelated}) {
+      EXPECT_FALSE(demux(topology, self, frame_head(foreign.value(), reliable),
+                         reliable));
+    }
+    const auto accepted =
+        demux(topology, self, frame_head(in_channel.value(), reliable),
+              reliable);
+    ASSERT_TRUE(accepted.has_value());
+    EXPECT_EQ(accepted->channel, in_channel);
+    EXPECT_EQ(accepted->rel.tag, RelHeader::kData);
+  }
+  // Acks exist only with reliability on and travel against their
+  // channel: only on a channel that starts here.
+  EXPECT_FALSE(demux(topology, self,
+                     frame_head(out_of_range, true, RelHeader::kAck), true));
+  for (const ChannelId foreign : {in_channel, unrelated}) {
+    EXPECT_FALSE(demux(topology, self,
+                       frame_head(foreign.value(), true, RelHeader::kAck),
+                       true));
+  }
+  const auto ack = demux(
+      topology, self, frame_head(out_channel.value(), true, RelHeader::kAck),
+      true);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->channel, out_channel);
+  EXPECT_EQ(ack->rel.cum_ack, 5u);
+  // Truncated heads: no whole channel id, or a channel id without the
+  // header reliable mode expects.
+  EXPECT_FALSE(demux(topology, self, Bytes{1, 0}, false));
+  EXPECT_FALSE(demux(topology, self, frame_head(in_channel.value(), false),
+                     true));
+}
 
 TEST(TcpRuntime, DeliversFramedMessages) {
   Topology topology(2);
