@@ -67,7 +67,7 @@ EquivalenceResult run_pair(std::uint32_t n, std::uint64_t seed) {
   return result;
 }
 
-void print_table() {
+int print_table() {
   print_header(
       "E1: S_h == S_r (Theorem 2)",
       "Same seeded execution, recorded (C&L) vs halted; states must be "
@@ -88,6 +88,7 @@ void print_table() {
     }
   }
   print_row("\nequivalence failures: %d (paper predicts 0)", failures);
+  return failures;
 }
 
 void BM_HaltWave(benchmark::State& state) {
@@ -114,9 +115,10 @@ BENCHMARK(BM_HaltWave)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
 }  // namespace ddbg::bench
 
 int main(int argc, char** argv) {
-  ddbg::bench::print_table();
+  const int failures = ddbg::bench::print_table();
   ddbg::bench::write_metrics_json("e1_equivalence");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  // Theorem 2 is a gate, not only a table row: any S_h != S_r fails the run.
+  return failures > 0 ? 1 : 0;
 }

@@ -48,8 +48,9 @@ OverheadRow run_plain(std::uint32_t n, std::uint64_t seed) {
   Simulation sim(topology, make_gossip(n, GossipConfig{}), std::move(config));
   sim.run_for(kRun);
   record_metrics("plain n=" + std::to_string(n), sim);
-  return OverheadRow{"plain", gossip_progress(sim, n),
-                     sim.stats().messages_sent, sim.stats().bytes_sent, 1.0};
+  const obs::TotalsSnapshot totals = sim.metrics().totals();
+  return OverheadRow{"plain", gossip_progress(sim, n), totals.messages_sent,
+                     totals.bytes_sent, 1.0};
 }
 
 OverheadRow run_shim(std::uint32_t n, std::uint64_t seed, bool vclocks) {
@@ -64,8 +65,8 @@ OverheadRow run_shim(std::uint32_t n, std::uint64_t seed, bool vclocks) {
                  harness.sim());
   return OverheadRow{vclocks ? "shim+vc" : "shim",
                      gossip_progress(harness.sim(), n),
-                     harness.sim().stats().messages_sent,
-                     harness.sim().stats().bytes_sent, 1.0};
+                     harness.sim().metrics().totals().messages_sent,
+                     harness.sim().metrics().totals().bytes_sent, 1.0};
 }
 
 OverheadRow run_hub(std::uint32_t n, std::uint64_t seed) {
@@ -91,8 +92,8 @@ OverheadRow run_hub(std::uint32_t n, std::uint64_t seed) {
     }
   }
   record_metrics("hub n=" + std::to_string(n), sim);
-  return OverheadRow{"hub", progress, sim.stats().messages_sent,
-                     sim.stats().bytes_sent, 2.0};
+  return OverheadRow{"hub", progress, sim.metrics().totals().messages_sent,
+                     sim.metrics().totals().bytes_sent, 2.0};
 }
 
 void print_table() {

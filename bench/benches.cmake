@@ -13,6 +13,12 @@ macro(ddbg_bench name)
 endmacro()
 
 ddbg_bench(bench_e1_equivalence)
+# Theorem 2 as a tier-1 check: E1's table pass (no timing loops) exits
+# non-zero when any halted state differs from its recorded state.  CI's
+# bench-smoke step runs the same binary.
+add_test(NAME BenchE1.HaltedStateEqualsRecordedState
+  COMMAND bench_e1_equivalence --benchmark_filter=^$
+  WORKING_DIRECTORY ${CMAKE_BINARY_DIR})
 ddbg_bench(bench_e2_acyclic)
 ddbg_bench(bench_e3_debugger_model)
 ddbg_bench(bench_e4_scp)

@@ -31,6 +31,7 @@
 
 #include "common/ids.hpp"
 #include "core/global_state.hpp"
+#include "core/snapshot.hpp"
 #include "net/process.hpp"
 
 namespace ddbg {
@@ -49,12 +50,7 @@ class HaltingEngine {
     std::function<void(const ProcessSnapshot&)> on_complete;
   };
 
-  // `suppress_control_echo`: when a wave was learned from a control channel
-  // (i.e. from the debugger tier), do not echo its marker back onto control
-  // out-channels — the tier already knows the wave.  Markers on application
-  // channels are never suppressed: the out-channel p->q is q's in-channel,
-  // and q needs that marker to close its channel state (Lemma 2.2).  Set to
-  // false to reproduce the original flood behaviour for equivalence tests.
+  // `suppress_control_echo`: see ChannelRecorder.
   HaltingEngine(ProcessId self, const Topology* topology, Callbacks callbacks,
                 bool suppress_control_echo = true);
 
@@ -65,7 +61,7 @@ class HaltingEngine {
   }
   // Every incoming channel's marker for the current wave has arrived.  O(1).
   [[nodiscard]] bool complete() const {
-    return halted_ && done_count_ == slot_done_.size();
+    return halted_ && channels_.complete();
   }
 
   // Spontaneous halting (Marker-Sending Rule).  No-op if already halted.
@@ -100,33 +96,15 @@ class HaltingEngine {
   [[nodiscard]] const ProcessSnapshot& snapshot() const;
 
  private:
-  void halt_routine(ProcessContext& ctx, bool from_control);
-  // Switch an already-halted process onto a newer wave: restart the wave
-  // bookkeeping and forward the new markers without re-running the Halt
-  // Routine (which asserts it is never entered twice).
-  void adopt_wave(ProcessContext& ctx, const HaltMarkerData& data,
-                  bool from_control);
-  // Send this wave's markers on every outgoing channel (minus suppressed
-  // control echoes), appending self_ to `base_path` (section 2.2.4).
-  void forward_markers(ProcessContext& ctx,
-                       const std::vector<ProcessId>& base_path,
-                       bool from_control);
+  // The Halt Routine for a marker carrying `halt_path` (empty when
+  // spontaneous), learned from a control channel if `from_control`.
+  void halt_routine(ProcessContext& ctx,
+                    const std::vector<ProcessId>& halt_path,
+                    bool from_control);
   void check_complete();
-  [[nodiscard]] bool is_app_channel(ChannelId c) const;
-  // Dense slot of in-channel `in` (Topology::in_slot); asserts `in` ends here.
-  [[nodiscard]] std::uint32_t slot_of(ChannelId in) const;
-  // Forget the previous wave's done bits and channel-state records.
-  void clear_wave_slots();
-  // Close `in`'s channel state for the current wave (idempotent).
-  void mark_done(ChannelId in);
-  // Find-or-create the channel-state record for `in` and append one
-  // in-flight payload.
-  void record_channel_message(ChannelId in, const Bytes& payload);
 
   ProcessId self_;
-  const Topology* topology_;
   Callbacks callbacks_;
-  bool suppress_control_echo_ = true;
 
   std::uint64_t last_halt_id_ = 0;  // initially zero, per the paper
   bool halted_ = false;
@@ -135,15 +113,7 @@ class HaltingEngine {
   // While halted: the snapshot under assembly (state captured at halt,
   // channel states appended as messages arrive).
   ProcessSnapshot snapshot_;
-  // Per in-channel slot (Topology::in_slot), sized to the in-degree:
-  // whether the current wave's marker has arrived on it, and its record's
-  // index in snapshot_.in_channels (kNoRecord until its first recorded
-  // payload, so snapshot_.in_channels keeps first-recorded order and holds
-  // only channels that had messages in flight).
-  static constexpr std::uint32_t kNoRecord = UINT32_MAX;
-  std::vector<std::uint8_t> slot_done_;
-  std::vector<std::uint32_t> slot_record_;
-  std::size_t done_count_ = 0;
+  ChannelRecorder channels_;
 
   std::vector<std::pair<ChannelId, Message>> buffered_;
   std::vector<TimerId> buffered_timers_;

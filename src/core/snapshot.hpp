@@ -15,9 +15,8 @@
 // are, so repeated recordings can be taken in one run.
 #pragma once
 
+#include <cstdint>
 #include <functional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -25,6 +24,62 @@
 #include "net/process.hpp"
 
 namespace ddbg {
+
+// Per-in-channel bookkeeping of one marker wave, shared by C&L recording
+// (SnapshotEngine) and the Halting Algorithm built on it (HaltingEngine;
+// Lemma 2.1: halting records the state C&L would record).
+//
+// For each in-channel, by its dense Topology::in_slot: whether the wave's
+// marker has arrived on it, which closes the channel's recorded state
+// (Lemma 2.2), and the index of its record in the snapshot's in_channels.
+// A record is created on the channel's first recorded payload, so
+// in_channels keeps first-recorded order and holds only channels that had
+// messages in flight.
+class ChannelRecorder {
+ public:
+  // `suppress_control_echo`: when a wave was learned from a control channel
+  // (i.e. from the debugger tier), send_markers skips the echo back onto
+  // control out-channels — the tier already knows the wave.  Markers on
+  // application channels are never suppressed: the out-channel p->q is q's
+  // in-channel, and q needs that marker to close its channel state (Lemma
+  // 2.2).  False reproduces the original flood behaviour for equivalence
+  // tests.
+  ChannelRecorder(ProcessId self, const Topology* topology,
+                  bool suppress_control_echo);
+
+  [[nodiscard]] bool is_control(ChannelId c) const {
+    return topology_->channel(c).is_control;
+  }
+  // Every in-channel's marker for the current wave has arrived.  O(1).
+  [[nodiscard]] bool complete() const { return done_count_ == done_.size(); }
+
+  // Start a wave recorded into `snapshot`: no channel closed, no channel
+  // state recorded.
+  void clear(ProcessSnapshot& snapshot);
+  // Close `in`'s channel state for the current wave (idempotent).
+  void mark_done(ChannelId in);
+  // Append `message` to `in`'s channel state in `snapshot` if it is an
+  // application message on an application channel whose marker has not
+  // arrived; otherwise do nothing.
+  void record(ProcessSnapshot& snapshot, ChannelId in, const Message& message);
+  // Send `marker` on every outgoing channel, minus the suppressed control
+  // echoes of a wave learned from the control channel (`from_control`).
+  void send_markers(ProcessContext& ctx, const Message& marker,
+                    bool from_control) const;
+
+ private:
+  // Dense slot of in-channel `in`; asserts `in` ends at this process.
+  [[nodiscard]] std::uint32_t slot_of(ChannelId in) const;
+
+  static constexpr std::uint32_t kNoRecord = UINT32_MAX;
+
+  ProcessId self_;
+  const Topology* topology_;
+  bool suppress_control_echo_;
+  std::vector<std::uint8_t> done_;
+  std::vector<std::uint32_t> record_;
+  std::size_t done_count_ = 0;
+};
 
 class SnapshotEngine {
  public:
@@ -35,9 +90,7 @@ class SnapshotEngine {
     std::function<void(const ProcessSnapshot&)> on_complete;
   };
 
-  // `suppress_control_echo`: as in HaltingEngine — when a wave was learned
-  // from a control channel, skip the redundant marker echo back onto
-  // control out-channels (never onto application channels).
+  // `suppress_control_echo`: see ChannelRecorder.
   SnapshotEngine(ProcessId self, const Topology* topology,
                  Callbacks callbacks, bool suppress_control_echo = true);
 
@@ -61,21 +114,14 @@ class SnapshotEngine {
  private:
   void record_state(ProcessContext& ctx, bool from_control);
   void check_complete();
-  [[nodiscard]] bool is_app_channel(ChannelId c) const;
 
-  ProcessId self_;
-  const Topology* topology_;
   Callbacks callbacks_;
-  bool suppress_control_echo_ = true;
 
   std::uint64_t last_snapshot_id_ = 0;
   bool recording_ = false;
 
   ProcessSnapshot snapshot_;
-  std::unordered_set<ChannelId> channels_done_;
-  // Sparse index into snapshot_.in_channels, created on a channel's first
-  // recorded payload.
-  std::unordered_map<std::uint32_t, std::size_t> channel_slot_;
+  ChannelRecorder channels_;
 };
 
 }  // namespace ddbg

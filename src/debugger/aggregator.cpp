@@ -8,31 +8,23 @@
 namespace ddbg {
 
 void AggregatorProcess::on_start(ProcessContext& ctx) {
-  topology_ = &ctx.topology();
+  const Topology& topology = ctx.topology();
   self_ = ctx.self();
-  DDBG_ASSERT(topology_->is_aggregator(self_),
+  DDBG_ASSERT(topology.is_aggregator(self_),
               "AggregatorProcess must occupy an aggregator slot");
-  parent_ = topology_->tier_parent(self_);
-  up_channel_ = topology_->control_from(self_);
-  const auto children = topology_->tier_children(self_);
-  children_.assign(children.begin(), children.end());
-  const auto [lo, hi] = topology_->tier_user_range(self_);
+  parent_ = topology.tier_parent(self_);
+  up_channel_ = topology.control_from(self_);
+  children_.bind(ctx);
+  const auto [lo, hi] = topology.tier_user_range(self_);
   subtree_users_ = hi - lo;
-  if (obs::MetricsRegistry* m = ctx.metrics()) {
-    m->observe_tree_fanout(children_.size());
-  }
 }
 
 void AggregatorProcess::on_message(ProcessContext& ctx, ChannelId in,
                                    Message message) {
   switch (message.kind) {
     case MessageKind::kHaltMarker:
-      DDBG_ASSERT(message.halt.has_value(), "halt marker without data");
-      handle_halt_marker(ctx, in, *message.halt);
-      return;
     case MessageKind::kSnapshotMarker:
-      DDBG_ASSERT(message.snapshot.has_value(), "snapshot marker w/o data");
-      handle_snapshot_marker(ctx, in, *message.snapshot);
+      handle_marker(ctx, in, message);
       return;
     case MessageKind::kControl: {
       auto command = Command::decode(message.payload);
@@ -51,81 +43,44 @@ void AggregatorProcess::on_message(ProcessContext& ctx, ChannelId in,
   }
 }
 
-void AggregatorProcess::forward_wave(ProcessContext& ctx, ProcessId origin,
-                                     const Message& marker) {
-  obs::MetricsRegistry* m = ctx.metrics();
+void AggregatorProcess::handle_marker(ProcessContext& ctx, ChannelId in,
+                                      const Message& marker) {
+  std::uint64_t& last = last_wave_[marker_kind(marker)];
+  const std::uint64_t wave = marker_wave(marker);
+  if (wave <= last) return;  // known wave: ignore
+  last = wave;
+  // Forward with our own name appended to the halt path, exactly as the
+  // root does — aggregators never really halt.
+  const Message relay = relay_marker(marker, self_);
+  const ProcessId origin = ctx.topology().channel(in).source;
   // Upward, unless the wave just came down from the parent: the parent
   // demonstrably knows the wave already, so the echo is pure duplicate.
   if (origin == parent_) {
-    if (m) m->on_marker_suppressed();
+    if (obs::MetricsRegistry* m = ctx.metrics()) m->on_marker_suppressed();
   } else {
-    ctx.send(up_channel_, marker);
+    ctx.send(up_channel_, relay);
   }
-  for (const ProcessId child : children_) {
-    // A child aggregator that sent us this wave already flooded its own
-    // subtree; re-sending would bounce the marker once per tier edge.  A
-    // *user* child always gets the marker even if it originated the wave —
-    // it needs one on its control in-channel to close that channel's
-    // recorded state (Lemma 2.2).
-    if (child == origin && topology_->is_aggregator(child)) {
-      if (m) m->on_marker_suppressed();
-      continue;
-    }
-    ctx.send(topology_->control_to(child), marker);
-  }
+  children_.forward_marker(ctx, origin, relay);
 }
 
-void AggregatorProcess::handle_halt_marker(ProcessContext& ctx, ChannelId in,
-                                           const HaltMarkerData& data) {
-  if (data.halt_id.value() <= last_halt_id_) return;  // known wave: ignore
-  last_halt_id_ = data.halt_id.value();
-  // Forward with our own name appended to the halt path (section 2.2.4),
-  // exactly as the flat debugger does — aggregators never really halt.
-  std::vector<ProcessId> path = data.halt_path;
-  path.push_back(self_);
-  forward_wave(ctx, topology_->channel(in).source,
-               Message::halt_marker(data.halt_id, path));
-}
-
-void AggregatorProcess::handle_snapshot_marker(ProcessContext& ctx,
-                                               ChannelId in,
-                                               const SnapshotMarkerData& data) {
-  if (data.snapshot_id <= last_snapshot_id_) return;
-  last_snapshot_id_ = data.snapshot_id;
-  forward_wave(ctx, topology_->channel(in).source,
-               Message::snapshot_marker(data.snapshot_id));
-}
-
-ProcessId AggregatorProcess::route_child(ProcessId target) const {
-  for (const ProcessId child : children_) {
-    const auto [lo, hi] = topology_->tier_user_range(child);
-    if (target.value() >= lo && target.value() < hi) return child;
-  }
-  DDBG_ASSERT(false, "unicast target outside this aggregator's subtree");
-  return ProcessId();
-}
-
-void AggregatorProcess::merge_report(ProcessContext& ctx,
-                                     std::map<std::uint64_t, Fragment>& frags,
-                                     std::uint64_t wave, Command&& command,
-                                     bool halt) {
-  auto [it, inserted] = frags.try_emplace(wave);
+void AggregatorProcess::merge_report(ProcessContext& ctx, Command&& command) {
+  const WaveKind kind = report_kind(command);
+  const std::uint64_t wave = command.wave_id;
+  auto [it, inserted] = frags_[kind].try_emplace(wave);
   Fragment& frag = it->second;
   if (inserted) frag.state = GlobalState(HaltId(wave));
-  if (command.report.has_value()) {
-    // Leaf contribution from a user child.
-    frag.state.add(std::move(*command.report));
-  }
-  for (ProcessSnapshot& snapshot : command.reports) {
-    // Pre-merged fragment from a child aggregator: move, never copy.
+  // A user child's own snapshot, or a child aggregator's pre-merged
+  // fragment: move, never copy.
+  for_each_report(command, [&frag](ProcessSnapshot& snapshot) {
     frag.state.add(std::move(snapshot));
-  }
+  });
   if (frag.forwarded || frag.state.size() != subtree_users_) return;
   frag.forwarded = true;
   const Command up =
-      halt ? Command::aggregated_halt_report(self_, wave, frag.state.take_all())
-           : Command::aggregated_snapshot_report(self_, wave,
-                                                 frag.state.take_all());
+      kind == WaveKind::kHalt
+          ? Command::aggregated_halt_report(self_, wave, frag.state.take_all())
+          : Command::aggregated_snapshot_report(self_, wave,
+                                                frag.state.take_all());
   ctx.send(up_channel_, Message::control(up.encode()));
   if (obs::MetricsRegistry* m = ctx.metrics()) m->on_ack_aggregated();
 }
@@ -135,13 +90,9 @@ void AggregatorProcess::handle_command(ProcessContext& ctx, Message& message,
   switch (command.kind) {
     case CommandKind::kHaltReport:
     case CommandKind::kAggregatedHaltReport:
-      merge_report(ctx, halt_frags_, command.wave_id, std::move(command),
-                   /*halt=*/true);
-      return;
     case CommandKind::kSnapshotReport:
     case CommandKind::kAggregatedSnapshotReport:
-      merge_report(ctx, snapshot_frags_, command.wave_id, std::move(command),
-                   /*halt=*/false);
+      merge_report(ctx, std::move(command));
       return;
     case CommandKind::kBreakpointHit:
     case CommandKind::kNotifySatisfied:
@@ -151,27 +102,12 @@ void AggregatorProcess::handle_command(ProcessContext& ctx, Message& message,
       ctx.send(up_channel_, Message::control(std::move(message.payload)));
       return;
     case CommandKind::kTierBroadcast:
-      for (const ProcessId child : children_) {
-        if (topology_->is_aggregator(child)) {
-          ctx.send(topology_->control_to(child),
-                   Message::control(message.payload));  // same envelope
-        } else {
-          ctx.send(topology_->control_to(child),
-                   Message::control(command.inner));
-        }
-      }
+      children_.broadcast(ctx, command.inner, std::move(message.payload));
       return;
-    case CommandKind::kTierUnicast: {
-      const ProcessId child = route_child(command.target);
-      if (child == command.target) {
-        ctx.send(topology_->control_to(child),
-                 Message::control(std::move(command.inner)));
-      } else {
-        ctx.send(topology_->control_to(child),
-                 Message::control(std::move(message.payload)));
-      }
+    case CommandKind::kTierUnicast:
+      children_.unicast(ctx, command.target, std::move(command.inner),
+                        std::move(message.payload));
       return;
-    }
     default:
       DDBG_WARN() << "aggregator " << self_.value() << ": unexpected command "
                   << to_string(command.kind);

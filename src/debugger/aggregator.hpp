@@ -13,11 +13,11 @@
 
 #include <cstdint>
 #include <map>
-#include <vector>
 
 #include "common/ids.hpp"
 #include "core/commands.hpp"
 #include "core/global_state.hpp"
+#include "debugger/tier.hpp"
 #include "net/process.hpp"
 
 namespace ddbg {
@@ -40,31 +40,18 @@ class AggregatorProcess final : public Process {
     bool forwarded = false;
   };
 
-  void handle_halt_marker(ProcessContext& ctx, ChannelId in,
-                          const HaltMarkerData& data);
-  void handle_snapshot_marker(ProcessContext& ctx, ChannelId in,
-                              const SnapshotMarkerData& data);
+  void handle_marker(ProcessContext& ctx, ChannelId in, const Message& marker);
   void handle_command(ProcessContext& ctx, Message& message, Command command);
-  // Broadcast a wave marker to the parent and children, skipping the tier
-  // process the marker came from (it already knows this wave).
-  void forward_wave(ProcessContext& ctx, ProcessId origin,
-                    const Message& marker);
-  void merge_report(ProcessContext& ctx, std::map<std::uint64_t, Fragment>& frags,
-                    std::uint64_t wave, Command&& command, bool halt);
-  // The direct tier child whose subtree covers user process `target`.
-  [[nodiscard]] ProcessId route_child(ProcessId target) const;
+  void merge_report(ProcessContext& ctx, Command&& command);
 
-  const Topology* topology_ = nullptr;  // bound in on_start
   ProcessId self_;
   ProcessId parent_;
   ChannelId up_channel_;  // control channel to the tier parent
-  std::vector<ProcessId> children_;
+  TierChildren children_;
   std::uint32_t subtree_users_ = 0;
 
-  std::uint64_t last_halt_id_ = 0;
-  std::uint64_t last_snapshot_id_ = 0;
-  std::map<std::uint64_t, Fragment> halt_frags_;
-  std::map<std::uint64_t, Fragment> snapshot_frags_;
+  ByWaveKind<std::uint64_t> last_wave_;
+  ByWaveKind<std::map<std::uint64_t, Fragment>> frags_;
 };
 
 }  // namespace ddbg

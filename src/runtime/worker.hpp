@@ -319,9 +319,6 @@ class RuntimeShell {
   [[nodiscard]] Process& process(ProcessId id) {
     return worker(id).process();
   }
-  [[nodiscard]] TransportStats stats() const {
-    return transport_stats_from(metrics_);
-  }
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const obs::MetricsRegistry& metrics() const {
     return metrics_;

@@ -468,39 +468,10 @@ void Simulation::dispatch(Lane* lane, Event& event) {
       processes_[event.target.value()]->on_start(ctx);
       break;
     }
-    case Event::Kind::kDeliver: {
-      const std::size_t c = event.channel.value();
-      metrics_.on_deliver(c, traffic_class(event.message.kind),
-                          event.wire_bytes);
-      // Event-at-a-time delivery: every batch is a single message, kept in
-      // the counters so the parity invariant (batch messages == deliveries)
-      // holds across all three runtimes.
-      metrics_.on_deliver_batch(1);
-      if (lane != nullptr && lane->current != nullptr) {
-        Effect flight;
-        flight.kind = Effect::Kind::kDeliverFlight;
-        flight.channel = event.channel;
-        lane->current->effects.push_back(std::move(flight));
-        if (observer_ != nullptr) {
-          Effect obs;
-          obs.kind = Effect::Kind::kObserverDeliver;
-          obs.channel = event.channel;
-          obs.at = at;
-          obs.message = event.message;
-          lane->current->effects.push_back(std::move(obs));
-        }
-      } else {
-        DDBG_ASSERT(channel_in_flight_[c] > 0, "delivery without a send");
-        --channel_in_flight_[c];
-        if (observer_ != nullptr) {
-          observer_->on_deliver(at, event.channel, event.message);
-        }
-      }
-      auto& ctx = context_for(event.target);
-      processes_[event.target.value()]->on_message(ctx, event.channel,
-                                                   std::move(event.message));
+    case Event::Kind::kDeliver:
+      release_delivery(lane, at, event.channel, event.target,
+                       std::move(event.message), event.wire_bytes);
       break;
-    }
     case Event::Kind::kTimer: {
       if (cancelled_timers_[event.target.value()].erase(event.timer) > 0) {
         break;
@@ -722,10 +693,13 @@ void Simulation::on_rel_frame(Lane* lane, Event& event) {
 }
 
 void Simulation::release_delivery(Lane* lane, TimePoint at, ChannelId channel,
-                                  ProcessId target, Message message,
+                                  ProcessId target, Message&& message,
                                   std::uint32_t wire_bytes) {
   const std::size_t c = channel.value();
   metrics_.on_deliver(c, traffic_class(message.kind), wire_bytes);
+  // Event-at-a-time delivery: every batch is a single message, kept in the
+  // counters so the parity invariant (batch messages == deliveries) holds
+  // across all three runtimes.
   metrics_.on_deliver_batch(1);
   if (lane != nullptr && lane->current != nullptr) {
     Effect flight;
@@ -741,7 +715,7 @@ void Simulation::release_delivery(Lane* lane, TimePoint at, ChannelId channel,
       lane->current->effects.push_back(std::move(obs));
     }
   } else {
-    DDBG_ASSERT(channel_in_flight_[c] > 0, "release without a send");
+    DDBG_ASSERT(channel_in_flight_[c] > 0, "delivery without a send");
     --channel_in_flight_[c];
     if (observer_ != nullptr) observer_->on_deliver(at, channel, message);
   }
@@ -753,14 +727,15 @@ void Simulation::release_delivery(Lane* lane, TimePoint at, ChannelId channel,
 TimerId Simulation::do_set_timer(Lane* lane, ProcessId owner, TimePoint at,
                                  Duration delay) {
   DDBG_ASSERT(delay.ns >= 0, "timer delay must be non-negative");
-  // Timer ids are per-process streams packed as (owner << 20 | seq): like
-  // transport message ids, they depend only on the owner's own call order,
-  // never on the global interleaving.
-  DDBG_ASSERT(owner.value() < (1u << 12) - 1, "too many processes for "
-              "packed timer ids");
+  // Timer ids are per-process streams: like transport message ids, they
+  // depend only on the owner's own call order, never on the global
+  // interleaving.  Every consumer of a timer id (cancellation, the halting
+  // engine's buffer, the debug shim) is per process, so ids need not be
+  // unique across processes.  They stay below 0x80000000, where the debug
+  // shim's synthetic replay ids start.
   const std::uint32_t seq = ++process_timer_seq_[owner.value()];
-  DDBG_ASSERT(seq < (1u << 20), "per-process timer stream exhausted");
-  const TimerId id((owner.value() << 20) | seq);
+  DDBG_ASSERT(seq < 0x80000000U, "per-process timer stream exhausted");
+  const TimerId id(seq);
   auto event = std::make_unique<Event>();
   event->when = at + delay;
   event->kind = Event::Kind::kTimer;

@@ -111,9 +111,6 @@ class Simulation {
   [[nodiscard]] TimePoint now() const { return now_; }
   [[nodiscard]] const Topology& topology() const { return topology_; }
   [[nodiscard]] Process& process(ProcessId id);
-  [[nodiscard]] TransportStats stats() const {
-    return transport_stats_from(metrics_);
-  }
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const obs::MetricsRegistry& metrics() const {
     return metrics_;
@@ -248,8 +245,10 @@ class Simulation {
   void check_retries(Lane* lane, TimePoint at, ChannelId channel);
   void schedule_retry_check(Lane* lane, TimePoint at, ChannelId channel);
   void on_rel_frame(Lane* lane, Event& event);
+  // Deliver `message` to `target` on `channel`: metrics, in-flight and
+  // observer accounting, then the handler.  Every delivery takes this path.
   void release_delivery(Lane* lane, TimePoint at, ChannelId channel,
-                        ProcessId target, Message message,
+                        ProcessId target, Message&& message,
                         std::uint32_t wire_bytes);
   [[nodiscard]] std::uint32_t encoded_wire_bytes(Lane* lane,
                                                  const Message& message);

@@ -655,6 +655,48 @@ TEST(ChaosSim, TierHaltCyclesMatchPinnedFingerprint) {
   EXPECT_EQ(par, kPinnedFingerprint) << "workers=4";
 }
 
+// The tier C&L recording path, pinned like the halt path above: the same
+// system, with three take_snapshot waves in place of the halt/resume
+// cycles.  The processes keep running while each S_r assembles, so the
+// hash covers the per-in-channel recording bookkeeping and the tier's
+// snapshot convergecast.  Captured before the halting and snapshot engines
+// shared one channel recorder and the debugger tier one wave path.
+TEST(ChaosSim, TierSnapshotCyclesMatchPinnedFingerprint) {
+  constexpr std::uint64_t kPinnedFingerprint = 2667720038681559398ULL;
+  const auto run = [](std::uint32_t workers) {
+    GossipConfig gossip;
+    HarnessConfig config;
+    config.seed = 9;
+    config.workers = workers;
+    config.debugger_fanout = 16;
+    config.latency = std::make_unique<ConstantLatency>(Duration::millis(1));
+    SimDebugHarness harness(Topology::tree(256, 2), make_gossip(256, gossip),
+                            std::move(config));
+    std::string text;
+    for (int cycle = 0; cycle < 3; ++cycle) {
+      harness.sim().run_for(Duration::millis(7));
+      auto wave = harness.session().take_snapshot(kWait);
+      EXPECT_TRUE(wave.has_value());
+      if (!wave.has_value()) break;
+      EXPECT_TRUE(wave->complete);
+      EXPECT_EQ(wave->state.size(), 256u);
+      const Bytes cut = wave->state.encode_snapshots();
+      text += std::to_string(replay_payload_hash(cut)) + "|";
+    }
+    Simulation& sim = harness.sim();
+    text += sim.metrics().snapshot(sim.now()).to_json() + "|" +
+            std::to_string(sim.events_processed()) + "|" +
+            std::to_string(sim.now().ns);
+    return replay_payload_hash(std::span<const std::uint8_t>(
+        reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
+  };
+  const std::uint64_t seq = run(1);
+  const std::uint64_t par = run(4);
+  EXPECT_EQ(seq, par);
+  EXPECT_EQ(seq, kPinnedFingerprint) << "workers=1";
+  EXPECT_EQ(par, kPinnedFingerprint) << "workers=4";
+}
+
 // Same equivalence through the full debugger harness: halt wave verdict,
 // consistent cut and metrics must be identical with parallel simulation
 // underneath the session machinery.

@@ -68,8 +68,9 @@ TEST_P(HaltSweep, HaltWaveInvariants) {
   const std::size_t total_channels = harness.topology().num_channels();
   harness.sim().run_for(Duration::millis(30));
 
+  constexpr std::size_t kHalt = traffic_class(MessageKind::kHaltMarker);
   const std::uint64_t markers_before =
-      harness.sim().stats().halt_markers_sent;
+      harness.sim().metrics().totals().sent[kHalt];
   harness.session().halt();
   auto wave = harness.session().wait_for_halt(kWait);
 
@@ -95,7 +96,7 @@ TEST_P(HaltSweep, HaltWaveInvariants) {
 
   // P5: marker bound.
   const std::uint64_t markers =
-      harness.sim().stats().halt_markers_sent - markers_before;
+      harness.sim().metrics().totals().sent[kHalt] - markers_before;
   EXPECT_LE(markers, total_channels);
 }
 

@@ -136,12 +136,12 @@ TEST(DebugShim, VectorClockStampingCanBeDisabled) {
   users.push_back(std::make_unique<Instrumented>());
   users.push_back(std::make_unique<Instrumented>());
 
-  TransportStats stats_with;
+  obs::TotalsSnapshot stats_with;
   {
     Simulation sim(topology,
                    wrap_in_shims(topology, std::move(users), options));
     sim.run_until_quiescent();
-    stats_with = sim.stats();
+    stats_with = sim.metrics().totals();
   }
   // With stamping on, the app message carries the clock -> more bytes.
   std::vector<ProcessPtr> users2;
@@ -152,7 +152,7 @@ TEST(DebugShim, VectorClockStampingCanBeDisabled) {
   Simulation sim2(topology, wrap_in_shims(topology, std::move(users2),
                                           options2));
   sim2.run_until_quiescent();
-  EXPECT_GT(sim2.stats().bytes_sent, stats_with.bytes_sent);
+  EXPECT_GT(sim2.metrics().totals().bytes_sent, stats_with.bytes_sent);
 }
 
 TEST(DebugShim, VarTableTracksLatestValue) {

@@ -311,6 +311,24 @@ TEST(SimParallel, FaultPlanChaosByteIdentical) {
   }
 }
 
+// Simulator timer ids are a per-process stream, so a system past 4094
+// processes (the ceiling of the former owner<<20|seq packing) can set
+// timers, and both engines still agree on it byte for byte.
+TEST(SimParallel, GossipPast4094ProcessesByteIdentical) {
+  const auto run = [](std::uint32_t workers) {
+    SimulationConfig config;
+    config.seed = 13;
+    config.workers = workers;
+    Simulation sim(Topology::ring(5000), make_gossip(5000, GossipConfig{}),
+                   std::move(config));
+    sim.run_for(Duration::millis(20));
+    // Every process has sent on several timer rounds.
+    EXPECT_GT(sim.metrics().totals().messages_delivered, 4u * 5000u);
+    return sim.metrics().snapshot(sim.now()).to_json();
+  };
+  EXPECT_EQ(run(1), run(4));
+}
+
 TEST(SimParallel, RepeatedRunsOnOneEngineAreStable) {
   // Guards against nondeterminism *within* the parallel engine itself
   // (e.g. an unstaged effect whose order depends on thread scheduling).

@@ -81,9 +81,10 @@ TEST(Simulation, DeliversMessages) {
   EXPECT_TRUE(sim.run_until_quiescent());
   auto& recorder = dynamic_cast<Recorder&>(sim.process(ProcessId(1)));
   EXPECT_EQ(recorder.received.size(), 3u);
-  EXPECT_EQ(sim.stats().messages_sent, 3u);
-  EXPECT_EQ(sim.stats().messages_delivered, 3u);
-  EXPECT_EQ(sim.stats().app_messages_sent, 3u);
+  const obs::TotalsSnapshot totals = sim.metrics().totals();
+  EXPECT_EQ(totals.messages_sent, 3u);
+  EXPECT_EQ(totals.messages_delivered, 3u);
+  EXPECT_EQ(totals.sent[traffic_class(MessageKind::kApplication)], 3u);
 }
 
 TEST(Simulation, FifoUnderRandomLatency) {

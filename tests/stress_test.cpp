@@ -144,14 +144,15 @@ TEST(Stress, LargeRandomTopology) {
   const std::size_t channels_with_control =
       harness.topology().num_channels();
   harness.sim().run_for(Duration::millis(20));
+  constexpr std::size_t kHalt = traffic_class(MessageKind::kHaltMarker);
   const std::uint64_t markers_before =
-      harness.sim().stats().halt_markers_sent;
+      harness.sim().metrics().totals().sent[kHalt];
   harness.session().halt();
   auto wave = harness.session().wait_for_halt(kWait);
   ASSERT_TRUE(wave.has_value());
   EXPECT_EQ(wave->state.size(), n);
   EXPECT_TRUE(consistent_cut(wave->state));
-  EXPECT_LE(harness.sim().stats().halt_markers_sent - markers_before,
+  EXPECT_LE(harness.sim().metrics().totals().sent[kHalt] - markers_before,
             channels_with_control);
 }
 

@@ -150,8 +150,8 @@ TEST(TcpRuntime, DeliversFramedMessages) {
   EXPECT_TRUE(TcpRuntime::wait_until(
       [&] { return counter_ptr->received.load() == 200; }, kWait));
   runtime.shutdown();
-  EXPECT_EQ(runtime.stats().messages_sent, 200u);
-  EXPECT_EQ(runtime.stats().messages_delivered, 200u);
+  EXPECT_EQ(runtime.metrics().totals().messages_sent, 200u);
+  EXPECT_EQ(runtime.metrics().totals().messages_delivered, 200u);
   // Last frame decoded intact (payload = 199, little-endian).
   ByteReader reader(counter_ptr->last_payload);
   EXPECT_EQ(reader.u32().value(), 199u);
@@ -380,7 +380,7 @@ TEST(TcpRuntime, ShutdownMidTrafficIsClean) {
       TcpRuntime::wait_until([&] { return p0->sent() >= 20; }, kWait));
   runtime.shutdown();   // mid-traffic: inboxes and sockets still busy
   runtime.shutdown();   // idempotent
-  const TransportStats stats = runtime.stats();
+  const obs::TotalsSnapshot stats = runtime.metrics().totals();
   EXPECT_GE(stats.messages_sent, 20u);
   // Delivery stops at shutdown; nothing may be delivered twice.
   EXPECT_LE(stats.messages_delivered, stats.messages_sent);
@@ -618,7 +618,7 @@ TEST(TcpRuntime, ShortWriteBackpressureRecoversInOrder) {
   EXPECT_TRUE(checker_ptr->ordered.load()) << "backpressure broke FIFO";
   const auto transport = runtime.metrics().snapshot(runtime.now()).transport;
   EXPECT_GE(transport.eagain_deferrals, 1u);
-  EXPECT_EQ(runtime.stats().messages_delivered, kCount);
+  EXPECT_EQ(runtime.metrics().totals().messages_delivered, kCount);
 }
 
 // Arms a timer on command and records how long it took to fire.
