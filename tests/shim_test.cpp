@@ -276,5 +276,64 @@ TEST(DebugShim, ArmedWatchCountTracksDisarm) {
   EXPECT_EQ(harness.shim(ProcessId(0)).armed_watches(), 0u);
 }
 
+// Byte-level pin of the trace stream the shim hands its sink: FNV-1a over
+// every event's kind, process, channel, lamport, local_seq and vector
+// clock, in sink order, then every breakpoint-hit text.  A vector-clock
+// ring with a linked breakpoint that fires, halts and resumes covers the
+// send, receive and state-change emits, the detector's forwards and hits,
+// and the replay of buffered messages on resume.  Captured before the shim
+// moved events into the sink instead of copying them.
+TEST(DebugShim, TraceStreamMatchesPinnedHash) {
+  constexpr std::uint64_t kPinnedHash = 1503460496894672824ULL;
+  const auto run = [](std::uint32_t workers) {
+    std::uint64_t h = 1469598103934665603ULL;
+    const auto mix = [&h](std::uint64_t v) {
+      for (int i = 0; i < 8; ++i) {
+        h ^= static_cast<std::uint8_t>(v >> (8 * i));
+        h *= 1099511628211ULL;
+      }
+    };
+    std::uint64_t events = 0;
+    HarnessConfig config;
+    config.seed = 13;
+    config.workers = workers;
+    config.latency = std::make_unique<ConstantLatency>(Duration::millis(1));
+    config.shim_options.trace_sink = [&](const LocalEvent& event) {
+      ++events;
+      mix(static_cast<std::uint64_t>(event.kind));
+      mix(event.process.value());
+      mix(event.channel.value());
+      mix(event.lamport);
+      mix(event.local_seq);
+      mix(event.vclock.size());
+      for (std::uint32_t i = 0; i < event.vclock.size(); ++i) {
+        mix(event.vclock.at(ProcessId(i)));
+      }
+    };
+    SimDebugHarness harness(Topology::ring(4), make_gossip(4, GossipConfig{}),
+                            std::move(config));
+    EXPECT_TRUE(harness.session()
+                    .set_breakpoint("p1:received>=5 -> p3:sent>=9")
+                    .ok());
+    auto wave = harness.session().wait_for_halt(Duration::seconds(30));
+    EXPECT_TRUE(wave.has_value());
+    EXPECT_TRUE(harness.session().resume());
+    harness.sim().run_for(Duration::millis(20));
+    const auto hits = harness.session().hits();
+    EXPECT_EQ(hits.size(), 1u);
+    for (const auto& hit : hits) {
+      mix(hit.description.size());
+      for (const char c : hit.description) mix(static_cast<std::uint8_t>(c));
+    }
+    EXPECT_GT(events, 100u);
+    return h;
+  };
+  const std::uint64_t seq = run(1);
+  const std::uint64_t par = run(4);
+  EXPECT_EQ(seq, par);
+  EXPECT_EQ(seq, kPinnedHash) << "workers=1";
+  EXPECT_EQ(par, kPinnedHash) << "workers=4";
+}
+
 }  // namespace
 }  // namespace ddbg
