@@ -63,7 +63,8 @@ HaltOrderRow run_topology(const Topology& topology, std::uint32_t n,
   row.paths_truthful = true;
   std::vector<double> lengths;
   const ProcessId d = harness.debugger_id();
-  for (const auto& [p, path] : wave->halt_paths) {
+  for (const auto& [p, snapshot] : wave->state.snapshots()) {
+    const std::vector<ProcessId>& path = snapshot.halt_path;
     lengths.push_back(static_cast<double>(path.size()));
     const TimePoint own = halt_times->at(p);
     for (const ProcessId predecessor : path) {

@@ -51,7 +51,8 @@ int main() {
 
   // The halt-order information of section 2.2.4: each process's marker path.
   std::printf("\nhalt order (marker paths):\n");
-  for (const auto& [process, path] : wave->halt_paths) {
+  for (const auto& [process, snapshot] : wave->state.snapshots()) {
+    const std::vector<ProcessId>& path = snapshot.halt_path;
     std::printf("  %s halted via [", to_string(process).c_str());
     for (std::size_t i = 0; i < path.size(); ++i) {
       std::printf("%s%s", i ? "," : "", to_string(path[i]).c_str());

@@ -26,18 +26,17 @@ CausalOrder VectorClock::compare(const VectorClock& other) const {
 
 void VectorClock::encode(ByteWriter& writer) const {
   writer.varint(counts_.size());
-  for (const std::uint64_t c : counts_) writer.varint(c);
+  writer.varints(counts_);
 }
 
 Result<VectorClock> VectorClock::decode(ByteReader& reader) {
   auto n = reader.count();
   if (!n.ok()) return n.error();
   VectorClock clock;
-  clock.counts_.reserve(n.value());
-  for (std::uint64_t i = 0; i < n.value(); ++i) {
-    auto c = reader.varint();
-    if (!c.ok()) return c.error();
-    clock.counts_.push_back(c.value());
+  // count() bounds n by the bytes left, so this allocation is bounded too.
+  clock.counts_.resize(n.value());
+  if (Status read = reader.varints(clock.counts_); !read.ok()) {
+    return read.error();
   }
   return clock;
 }

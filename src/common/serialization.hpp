@@ -7,6 +7,7 @@
 // checking and reports malformed input through Result rather than UB.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -28,6 +29,10 @@ class ByteWriter {
   // The writer must not outlive `external`; take() is owning-mode only.
   explicit ByteWriter(Bytes& external) : out_(&external) {}
 
+  // Every primitive below grows the buffer once per field (not once per
+  // byte) and writes through a raw pointer; the bytes are the same as a
+  // byte-at-a-time append.
+
   void u8(std::uint8_t v) { buf().push_back(v); }
 
   void u16(std::uint16_t v) { append_le(v); }
@@ -43,11 +48,23 @@ class ByteWriter {
 
   // Unsigned LEB128.
   void varint(std::uint64_t v) {
-    while (v >= 0x80) {
-      buf().push_back(static_cast<std::uint8_t>(v) | 0x80);
-      v >>= 7;
-    }
-    buf().push_back(static_cast<std::uint8_t>(v));
+    Bytes& b = buf();
+    const std::size_t at = b.size();
+    b.resize(at + varint_size(v));
+    put_varint(b.data() + at, v);
+  }
+
+  // values.size() consecutive varints (no count prefix): one growth for
+  // the whole run, so a vector clock costs one capacity check, not one
+  // per byte.
+  void varints(std::span<const std::uint64_t> values) {
+    Bytes& b = buf();
+    const std::size_t at = b.size();
+    b.resize(at + values.size() * kMaxVarintBytes);
+    std::uint8_t* const out = b.data() + at;
+    std::size_t n = 0;
+    for (const std::uint64_t v : values) n += put_varint(out + n, v);
+    b.resize(at + n);
   }
 
   void str(std::string_view s) {
@@ -69,12 +86,36 @@ class ByteWriter {
   [[nodiscard]] std::size_t size() const { return buffer().size(); }
 
  private:
+  // Longest unsigned LEB128 encoding of a u64.
+  static constexpr std::size_t kMaxVarintBytes = 10;
+
   [[nodiscard]] Bytes& buf() { return out_ != nullptr ? *out_ : own_; }
+
+  // Bytes in v's LEB128 encoding: one per started 7 bits, 1 for zero.
+  static std::size_t varint_size(std::uint64_t v) {
+    return (static_cast<std::size_t>(std::bit_width(v | 1)) + 6) / 7;
+  }
+
+  // Writes v's LEB128 bytes at `out` (room for kMaxVarintBytes); returns
+  // how many it wrote.
+  static std::size_t put_varint(std::uint8_t* out, std::uint64_t v) {
+    std::size_t n = 0;
+    while (v >= 0x80) {
+      out[n++] = static_cast<std::uint8_t>(v) | 0x80;
+      v >>= 7;
+    }
+    out[n++] = static_cast<std::uint8_t>(v);
+    return n;
+  }
 
   template <typename T>
   void append_le(T v) {
+    Bytes& b = buf();
+    const std::size_t at = b.size();
+    b.resize(at + sizeof(T));
+    std::uint8_t* const out = b.data() + at;
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf().push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      out[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
   }
 
@@ -111,23 +152,24 @@ class ByteReader {
   }
 
   [[nodiscard]] Result<std::uint64_t> varint() {
-    std::uint64_t result = 0;
-    int shift = 0;
-    while (true) {
-      if (pos_ >= data_.size()) return underflow("varint");
-      if (shift >= 64) {
-        return Error(ErrorCode::kParseError, "varint too long");
-      }
-      const std::uint8_t byte = data_[pos_++];
-      if (shift == 63 && (byte & 0x7e) != 0) {
-        // Tenth byte: only its low bit lands inside a u64.  Shifting the
-        // rest away would silently accept a value that doesn't round-trip.
-        return Error(ErrorCode::kParseError, "varint overflows 64 bits");
-      }
-      result |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) return result;
-      shift += 7;
+    std::uint64_t v = 0;
+    if (const VarintFault fault = get_varint(v); fault != VarintFault::kNone) {
+      return varint_error(fault);
     }
+    return v;
+  }
+
+  // Reads out.size() consecutive varints (the counterpart of
+  // ByteWriter::varints), with varint()'s checks and error texts.  Size
+  // `out` from count() so a hostile count cannot force a large allocation.
+  [[nodiscard]] Status varints(std::span<std::uint64_t> out) {
+    for (std::uint64_t& v : out) {
+      if (const VarintFault fault = get_varint(v);
+          fault != VarintFault::kNone) {
+        return varint_error(fault);
+      }
+    }
+    return Status::ok_status();
   }
 
   [[nodiscard]] Result<std::string> str() {
@@ -168,6 +210,54 @@ class ByteReader {
   }
 
  private:
+  enum class VarintFault : std::uint8_t {
+    kNone,
+    kUnderflow,
+    kTooLong,
+    kOverflow,
+  };
+
+  // Decodes one varint into `out` and advances past it; on a fault the
+  // position is left wherever the scan stopped (callers then discard the
+  // reader's result).
+  VarintFault get_varint(std::uint64_t& out) {
+    if (pos_ < data_.size() && data_[pos_] < 0x80) {
+      out = data_[pos_++];
+      return VarintFault::kNone;
+    }
+    std::uint64_t result = 0;
+    int shift = 0;
+    while (true) {
+      if (pos_ >= data_.size()) return VarintFault::kUnderflow;
+      if (shift >= 64) return VarintFault::kTooLong;
+      const std::uint8_t byte = data_[pos_++];
+      if (shift == 63 && (byte & 0x7e) != 0) {
+        // Tenth byte: only its low bit lands inside a u64.  Shifting the
+        // rest away would silently accept a value that doesn't round-trip.
+        return VarintFault::kOverflow;
+      }
+      result |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) {
+        out = result;
+        return VarintFault::kNone;
+      }
+      shift += 7;
+    }
+  }
+
+  Error varint_error(VarintFault fault) const {
+    switch (fault) {
+      case VarintFault::kTooLong:
+        return Error(ErrorCode::kParseError, "varint too long");
+      case VarintFault::kOverflow:
+        return Error(ErrorCode::kParseError, "varint overflows 64 bits");
+      case VarintFault::kUnderflow:
+      case VarintFault::kNone:
+        break;
+    }
+    return underflow("varint");
+  }
+
   template <typename T>
   Result<T> read_le() {
     if (sizeof(T) > remaining()) return underflow("fixed int");

@@ -533,14 +533,20 @@ void DebugShim::emit_event(LocalEvent event) {
   event.process = self_;
   event.local_seq = local_seq_++;
   if (current_ctx_ != nullptr) event.when = current_ctx_->now();
+  // The detector runs first so the event can then move into the sink's
+  // closure uncopied.  Its callbacks only queue onto pending_* (flushed at
+  // the end of the handler), so running it before the sink changes no
+  // observable order.
+  detector_.on_local_event(event);
   if (options_.trace_sink) {
     // The sink typically appends to a shared analysis trace; routing it
     // through run_ordered keeps the recorded interleaving identical across
     // execution modes (the parallel simulator replays these at window
     // commit, in sequential-equivalent order).
-    notify_ordered([sink = &options_.trace_sink, event] { (*sink)(event); });
+    notify_ordered([sink = &options_.trace_sink, event = std::move(event)] {
+      (*sink)(event);
+    });
   }
-  detector_.on_local_event(event);
 }
 
 void DebugShim::flush_pending(ProcessContext& ctx) {

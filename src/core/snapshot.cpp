@@ -84,7 +84,10 @@ void SnapshotEngine::initiate(ProcessContext& ctx) {
 void SnapshotEngine::on_marker(ProcessContext& ctx, ChannelId in,
                                const SnapshotMarkerData& data) {
   if (data.snapshot_id > last_snapshot_id_) {
-    // First marker of a new wave: record state; this channel is empty.
+    // First marker of a new wave: record state; this channel is empty.  An
+    // older recording still waiting for markers is abandoned (that wave
+    // never completes here), as HaltingEngine adopts a newer halt wave.
+    recording_ = false;
     last_snapshot_id_ = data.snapshot_id;
     record_state(ctx, /*from_control=*/channels_.is_control(in));
     channels_.mark_done(in);

@@ -101,12 +101,10 @@ void DebuggerProcess::handle_marker(ProcessContext& ctx, ProcessId origin,
 void DebuggerProcess::merge_report(ProcessContext& ctx, Command&& report) {
   std::lock_guard<std::mutex> guard{mutex_};
   const WaveKind kind = report_kind(report);
-  const bool halt = kind == WaveKind::kHalt;
   WaveInfo& wave = wave_entry(kind, report.wave_id, ctx);
   // Convergecast: a child aggregator's merged subtree arrives as one
   // report; every snapshot moves straight into the assembling state.
   for_each_report(report, [&](ProcessSnapshot& snapshot) {
-    if (halt) wave.halt_paths[snapshot.process] = snapshot.halt_path;
     wave.state.add(std::move(snapshot));
   });
   // Complete once every user process has reported.
@@ -118,7 +116,7 @@ void DebuggerProcess::merge_report(ProcessContext& ctx, Command&& report) {
   if (auto* m = ctx.metrics()) {
     m->span_end(wave_span(kind), wave.id, ctx.now());
   }
-  if (!halt) return;
+  if (kind != WaveKind::kHalt) return;
   DDBG_INFO() << "debugger: halt wave " << wave.id << " complete at "
               << to_string(wave.completed_at);
   // Record the assembled S_h: the replay log's ground truth for "the

@@ -53,10 +53,10 @@ class DebuggerProcess final : public Process {
     bool complete = false;
     TimePoint started_at{};
     TimePoint completed_at{};
+    // For a halt wave, each snapshot's halt_path is the section 2.2.4
+    // halt-order information: the marker path that process halted on
+    // (empty for spontaneous initiators).
     GlobalState state;
-    // Section 2.2.4 halt-order information: for every process, the marker
-    // path it halted on (empty for spontaneous initiators).
-    std::map<ProcessId, std::vector<ProcessId>> halt_paths;
   };
 
   DebuggerProcess() = default;

@@ -2,37 +2,12 @@
 // graph, including a cross-check of the two ordering mechanisms.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "clock/happened_before.hpp"
 #include "clock/lamport.hpp"
 #include "clock/vector_clock.hpp"
+#include "common/rng.hpp"
 #include "common/serialization.hpp"
-
-// Global allocation counter for the hot-path allocation tests below.
-// Replacing operator new is binary-wide, so keep the hooks trivial.
-namespace {
-std::atomic<std::size_t> g_allocation_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new[](std::size_t size) {
-  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "tests/alloc_counter.hpp"
 
 namespace ddbg {
 namespace {
@@ -137,6 +112,129 @@ TEST(VectorClock, SerializationRoundTrip) {
   EXPECT_EQ(decoded.value().compare(clock), CausalOrder::kEqual);
 }
 
+// The wire form is a varint count followed by one varint per entry; the
+// bulk encoder must write exactly those bytes.
+TEST(VectorClock, EncodingIsCountThenVarintPerEntry) {
+  VectorClock clock(3);
+  clock.tick(ProcessId(0));
+  for (int i = 0; i < 300; ++i) clock.tick(ProcessId(2));
+  ByteWriter writer;
+  clock.encode(writer);
+  EXPECT_EQ(writer.buffer(), (Bytes{0x03, 0x01, 0x00, 0xac, 0x02}));
+
+  Rng rng(5);
+  for (int trial = 0; trial < 100; ++trial) {
+    VectorClock random;
+    const auto width = static_cast<std::uint32_t>(rng.next_below(80));
+    for (std::uint32_t p = 0; p < width; ++p) {
+      const auto ticks = rng.next_below(4) == 0 ? 0 : rng.next_below(600);
+      for (std::uint64_t t = 0; t < ticks; ++t) random.tick(ProcessId(p));
+    }
+    Bytes expected = {0xee};  // appended after existing bytes
+    Bytes actual = expected;
+    ByteWriter(expected).varint(random.size());
+    for (std::uint32_t p = 0; p < random.size(); ++p) {
+      ByteWriter(expected).varint(random.at(ProcessId(p)));
+    }
+    ByteWriter appending(actual);
+    random.encode(appending);
+    ASSERT_EQ(actual, expected) << random.to_string();
+  }
+}
+
+// Decodes the way the per-entry reader did: the verdicts and error texts
+// the bulk decode must keep.
+Result<std::vector<std::uint64_t>> reference_decode(ByteReader& reader) {
+  auto n = reader.count();
+  if (!n.ok()) return n.error();
+  std::vector<std::uint64_t> counts;
+  for (std::uint64_t i = 0; i < n.value(); ++i) {
+    auto c = reader.varint();
+    if (!c.ok()) return c.error();
+    counts.push_back(c.value());
+  }
+  return counts;
+}
+
+void expect_decode_matches_reference(const Bytes& data) {
+  ByteReader bulk(data);
+  const auto decoded = VectorClock::decode(bulk);
+  ByteReader one(data);
+  const auto want = reference_decode(one);
+  ASSERT_EQ(decoded.ok(), want.ok());
+  if (!want.ok()) {
+    EXPECT_EQ(decoded.error().message(), want.error().message());
+    return;
+  }
+  const VectorClock& clock = decoded.value();
+  ASSERT_EQ(clock.size(), want.value().size());
+  for (std::uint32_t p = 0; p < clock.size(); ++p) {
+    EXPECT_EQ(clock.at(ProcessId(p)), want.value()[p]);
+  }
+  EXPECT_EQ(bulk.remaining(), one.remaining());
+}
+
+TEST(VectorClock, DecodeRejectsWhatThePerEntryDecodeRejected) {
+  VectorClock clock(6);
+  for (int i = 0; i < 200; ++i) clock.tick(ProcessId(1));
+  clock.tick(ProcessId(5));
+  ByteWriter writer;
+  clock.encode(writer);
+  const Bytes& full = writer.buffer();
+  // Every truncation of a valid clock.
+  for (std::size_t cut = 0; cut <= full.size(); ++cut) {
+    expect_decode_matches_reference(
+        Bytes(full.begin(), full.begin() + static_cast<std::ptrdiff_t>(cut)));
+  }
+  // A count larger than the bytes that follow.
+  expect_decode_matches_reference(Bytes{0x05, 0x01, 0x02});
+  ByteReader huge_count(Bytes{0x05, 0x01, 0x02});
+  EXPECT_EQ(VectorClock::decode(huge_count).error().message(),
+            "count exceeds buffer");
+  // Overlong and non-canonical entries.
+  Bytes overflow(11, 0x80);
+  overflow[0] = 0x01;   // one entry …
+  overflow[10] = 0x02;  // … whose tenth byte sets a bit past bit 63
+  expect_decode_matches_reference(overflow);
+  ByteReader overflowing(overflow);
+  EXPECT_EQ(VectorClock::decode(overflowing).error().message(),
+            "varint overflows 64 bits");
+  // Random mutations of valid encodings.
+  Rng rng(11);
+  for (int trial = 0; trial < 2000; ++trial) {
+    Bytes data = full;
+    const auto flips = 1 + rng.next_below(3);
+    for (std::uint64_t f = 0; f < flips; ++f) {
+      data[rng.next_below(data.size())] =
+          static_cast<std::uint8_t>(rng.next_u64());
+    }
+    expect_decode_matches_reference(data);
+  }
+}
+
+// Encoding into a pooled buffer that already has the room allocates
+// nothing: the bulk write grows the buffer once, within its capacity.
+TEST(VectorClock, EncodeIntoRoomyBufferIsAllocationFree) {
+  VectorClock clock(64);
+  for (std::uint32_t p = 0; p < 64; ++p) {
+    for (std::uint32_t t = 0; t < p * 5; ++t) clock.tick(ProcessId(p));
+  }
+  Bytes buffer;
+  buffer.reserve(2048);
+  const std::size_t before = testing::allocation_count();
+  for (int round = 0; round < 10; ++round) {
+    buffer.clear();
+    ByteWriter writer(buffer);
+    clock.encode(writer);
+  }
+  EXPECT_EQ(testing::allocation_count(), before);
+  ByteReader reader(buffer);
+  const auto decoded = VectorClock::decode(reader);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value().compare(clock), CausalOrder::kEqual);
+  EXPECT_TRUE(reader.exhausted());
+}
+
 TEST(VectorClock, ToString) {
   VectorClock clock(2);
   clock.tick(ProcessId(1));
@@ -234,7 +332,7 @@ TEST(VectorClock, MergeAndCompareAreAllocationFreeOnceSized) {
   for (std::uint32_t i = 0; i < kProcs; i += 3) a.tick(ProcessId(i));
   for (std::uint32_t i = 1; i < kProcs; i += 2) b.tick(ProcessId(i));
 
-  const std::size_t before = g_allocation_count.load();
+  const std::size_t before = testing::allocation_count();
   for (int round = 0; round < 100; ++round) {
     a.merge(b);
     b.merge(a);
@@ -243,7 +341,7 @@ TEST(VectorClock, MergeAndCompareAreAllocationFreeOnceSized) {
     a.tick(ProcessId(round % kProcs));
     b.on_receive(ProcessId((round + 7) % kProcs), a);
   }
-  EXPECT_EQ(g_allocation_count.load(), before)
+  EXPECT_EQ(testing::allocation_count(), before)
       << "merge/compare/tick allocated on pre-sized clocks";
 }
 
@@ -253,11 +351,11 @@ TEST(VectorClock, CompareAgainstWiderClockIsAllocationFree) {
   narrow.tick(ProcessId(2));
   wide.tick(ProcessId(40));
   wide.tick(ProcessId(3));
-  const std::size_t before = g_allocation_count.load();
+  const std::size_t before = testing::allocation_count();
   // Zero-extension comparison in both directions, no temporaries.
   EXPECT_EQ(narrow.compare(wide), CausalOrder::kConcurrent);
   EXPECT_EQ(wide.compare(narrow), CausalOrder::kConcurrent);
-  EXPECT_EQ(g_allocation_count.load(), before);
+  EXPECT_EQ(testing::allocation_count(), before);
 }
 
 }  // namespace

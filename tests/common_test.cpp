@@ -2,9 +2,14 @@
 // serialization round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <limits>
 #include <set>
+#include <span>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "common/buffer_pool.hpp"
 #include "common/ids.hpp"
@@ -259,6 +264,292 @@ TEST(Serialization, MalformedVarintIsError) {
   Bytes data(11, 0xff);  // continuation bit forever
   ByteReader reader(data);
   EXPECT_FALSE(reader.varint().ok());
+}
+
+// ---------------------------------------------------------------------------
+// Codec contract: ByteWriter's one-growth-per-field primitives produce the
+// exact bytes of a byte-at-a-time encoder, and ByteReader's bulk varint read
+// accepts and rejects exactly what repeated varint() calls do.
+// ---------------------------------------------------------------------------
+
+// The byte-at-a-time encoder the bulk writer must match.
+struct ReferenceWriter {
+  Bytes out;
+
+  void fixed(std::uint64_t v, std::size_t width) {
+    for (std::size_t i = 0; i < width; ++i) {
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+  void varint(std::uint64_t v) {
+    while (v >= 0x80) {
+      out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+      v >>= 7;
+    }
+    out.push_back(static_cast<std::uint8_t>(v));
+  }
+  void blob(std::span<const std::uint8_t> data) {
+    varint(data.size());
+    for (const std::uint8_t b : data) out.push_back(b);
+  }
+};
+
+std::vector<std::uint64_t> boundary_values() {
+  std::vector<std::uint64_t> values = {0, 1, 127, 128, 255, 256, 300,
+                                       1ull << 63, (1ull << 63) - 1, ~0ull};
+  // Both sides of every LEB128 length step, and of every byte width.
+  for (int bits = 7; bits < 64; bits += 7) {
+    values.push_back((1ull << bits) - 1);
+    values.push_back(1ull << bits);
+  }
+  for (int bits = 8; bits < 64; bits += 8) {
+    values.push_back((1ull << bits) - 1);
+    values.push_back(1ull << bits);
+  }
+  return values;
+}
+
+// A random value whose magnitude is spread over every varint length.
+std::uint64_t random_value(Rng& rng) {
+  const auto shift = static_cast<int>(rng.next_below(64));
+  return rng.next_u64() >> shift;
+}
+
+// Drives one random field through both encoders.
+void write_random_field(Rng& rng, ByteWriter& writer, ReferenceWriter& ref,
+                        std::uint64_t v) {
+  switch (rng.next_below(10)) {
+    case 0:
+      writer.u8(static_cast<std::uint8_t>(v));
+      ref.fixed(v, 1);
+      break;
+    case 1:
+      writer.u16(static_cast<std::uint16_t>(v));
+      ref.fixed(v, 2);
+      break;
+    case 2:
+      writer.u32(static_cast<std::uint32_t>(v));
+      ref.fixed(v, 4);
+      break;
+    case 3:
+      writer.u64(v);
+      ref.fixed(v, 8);
+      break;
+    case 4:
+      writer.i64(static_cast<std::int64_t>(v));
+      ref.fixed(v, 8);
+      break;
+    case 5: {
+      double d;
+      std::memcpy(&d, &v, sizeof(d));
+      writer.f64(d);
+      ref.fixed(v, 8);
+      break;
+    }
+    case 6:
+      writer.varint(v);
+      ref.varint(v);
+      break;
+    case 7: {
+      const std::string text(rng.next_below(200), static_cast<char>(v));
+      writer.str(text);
+      ref.blob(std::span<const std::uint8_t>(
+          reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
+      break;
+    }
+    case 8: {
+      const Bytes data(rng.next_below(200), static_cast<std::uint8_t>(v));
+      writer.bytes(data);
+      ref.blob(data);
+      break;
+    }
+    default: {
+      std::vector<std::uint64_t> run(rng.next_below(70));
+      for (std::uint64_t& x : run) x = random_value(rng);
+      writer.varints(run);
+      for (const std::uint64_t x : run) ref.varint(x);
+      break;
+    }
+  }
+}
+
+TEST(Serialization, GoldenBytes) {
+  ByteWriter writer;
+  writer.u8(0xab);
+  writer.u16(0x1234);
+  writer.u32(0xdeadbeef);
+  writer.u64(0x0123456789abcdefULL);
+  writer.i64(-2);
+  writer.varint(0);
+  writer.varint(127);
+  writer.varint(128);
+  writer.varint(300);
+  const Bytes expected = {
+      0xab, 0x34, 0x12, 0xef, 0xbe, 0xad, 0xde, 0xef, 0xcd, 0xab, 0x89,
+      0x67, 0x45, 0x23, 0x01, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+      0xff, 0x00, 0x7f, 0x80, 0x01, 0xac, 0x02};
+  EXPECT_EQ(writer.buffer(), expected);
+
+  ByteWriter top;
+  top.varint(1ull << 63);
+  top.varint(~0ull);
+  Bytes expected_top(20, 0x80);
+  expected_top[9] = 0x01;
+  std::fill(expected_top.begin() + 10, expected_top.end() - 1, 0xff);
+  expected_top[19] = 0x01;
+  EXPECT_EQ(top.buffer(), expected_top);
+}
+
+TEST(Serialization, BoundaryValuesMatchByteAtATimeEncoder) {
+  const std::vector<std::uint64_t> values = boundary_values();
+  for (const std::uint64_t v : values) {
+    ByteWriter writer;
+    ReferenceWriter ref;
+    writer.varint(v);
+    ref.varint(v);
+    writer.u16(static_cast<std::uint16_t>(v));
+    ref.fixed(v, 2);
+    writer.u32(static_cast<std::uint32_t>(v));
+    ref.fixed(v, 4);
+    writer.u64(v);
+    ref.fixed(v, 8);
+    EXPECT_EQ(writer.buffer(), ref.out) << v;
+    ByteReader reader(writer.buffer());
+    EXPECT_EQ(reader.varint().value(), v);
+  }
+  ByteWriter bulk;
+  ReferenceWriter ref;
+  bulk.varints(values);
+  for (const std::uint64_t v : values) ref.varint(v);
+  EXPECT_EQ(bulk.buffer(), ref.out);
+  std::vector<std::uint64_t> decoded(values.size());
+  ByteReader reader(bulk.buffer());
+  ASSERT_TRUE(reader.varints(decoded).ok());
+  EXPECT_TRUE(reader.exhausted());
+  EXPECT_EQ(decoded, values);
+}
+
+TEST(Serialization, RandomFieldsMatchByteAtATimeEncoder) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Owning mode, and external mode appending after existing bytes (a
+    // pooled frame's length-prefix placeholder, say).
+    ByteWriter owned;
+    ReferenceWriter owned_ref;
+    Bytes external(rng.next_below(9), 0x5a);
+    external.reserve(external.size() + rng.next_below(64));
+    ReferenceWriter external_ref;
+    external_ref.out = external;
+    ByteWriter appending(external);
+    const auto fields = 1 + rng.next_below(30);
+    for (std::uint64_t f = 0; f < fields; ++f) {
+      const std::uint64_t v = random_value(rng);
+      Rng fork = rng;
+      write_random_field(rng, owned, owned_ref, v);
+      write_random_field(fork, appending, external_ref, v);
+    }
+    ASSERT_EQ(owned.buffer(), owned_ref.out) << "trial " << trial;
+    ASSERT_EQ(external, external_ref.out) << "trial " << trial;
+    EXPECT_EQ(appending.size(), external.size());
+  }
+}
+
+TEST(Serialization, EmptyVarintRunWritesNothing) {
+  Bytes external = {1, 2, 3};
+  ByteWriter writer(external);
+  writer.varints({});
+  EXPECT_EQ(external, (Bytes{1, 2, 3}));
+  ByteReader reader(external);
+  EXPECT_TRUE(reader.varints({}).ok());
+  EXPECT_EQ(reader.remaining(), 3u);
+}
+
+// Reads `n` varints one call at a time: the behaviour the bulk read keeps.
+Status reference_varints(ByteReader& reader, std::vector<std::uint64_t>& out,
+                         std::size_t n) {
+  out.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    auto v = reader.varint();
+    if (!v.ok()) return v.error();
+    out.push_back(v.value());
+  }
+  return Status::ok_status();
+}
+
+// Asserts the bulk and one-at-a-time reads agree on `data`: same verdict,
+// same error text, same values and same stopping point on success.
+void expect_bulk_read_matches(const Bytes& data, std::size_t n) {
+  ByteReader bulk(data);
+  std::vector<std::uint64_t> got(n);
+  const Status bulk_status = bulk.varints(got);
+  ByteReader one(data);
+  std::vector<std::uint64_t> want;
+  const Status one_status = reference_varints(one, want, n);
+  ASSERT_EQ(bulk_status.ok(), one_status.ok());
+  if (one_status.ok()) {
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(bulk.remaining(), one.remaining());
+  } else {
+    EXPECT_EQ(bulk_status.error().code(), one_status.error().code());
+    EXPECT_EQ(bulk_status.error().message(), one_status.error().message());
+  }
+}
+
+TEST(Serialization, BulkVarintReadRejectsWhatVarintRejects) {
+  // Truncation at every byte of a run, for the error text.
+  ByteWriter writer;
+  writer.varints(boundary_values());
+  const Bytes& full = writer.buffer();
+  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+    const Bytes prefix(full.begin(),
+                       full.begin() + static_cast<std::ptrdiff_t>(cut));
+    expect_bulk_read_matches(prefix, boundary_values().size());
+  }
+
+  // Overlong and non-canonical inputs, alone and after a valid value.
+  const auto overlong = [](std::size_t lead) {
+    Bytes spare_bits(lead, 0x05);  // tenth byte with a bit past bit 63
+    for (int i = 0; i < 9; ++i) spare_bits.push_back(0x80);
+    spare_bits.push_back(0x02);
+    Bytes eleven(lead, 0x05);  // eleventh byte: too long
+    for (int i = 0; i < 10; ++i) eleven.push_back(0x80);
+    eleven.push_back(0x00);
+    Bytes ten_open(lead, 0x05);  // canonical tenth byte, continues, EOF
+    for (int i = 0; i < 9; ++i) ten_open.push_back(0xff);
+    ten_open.push_back(0x81);
+    return std::vector<Bytes>{spare_bits, eleven, ten_open};
+  };
+  for (const std::size_t lead : {0u, 1u}) {
+    for (const Bytes& bad : overlong(lead)) {
+      expect_bulk_read_matches(bad, lead + 1);
+    }
+  }
+  const std::vector<Bytes> bad = overlong(0);
+  const Bytes& spare_bits = bad[0];
+  const Bytes& eleven = bad[1];
+  const Bytes& ten_open = bad[2];
+  ByteReader overflow(spare_bits);
+  std::uint64_t v = 0;
+  const Status status = overflow.varints({&v, 1});
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().message(), "varint overflows 64 bits");
+  ByteReader too_long(eleven);
+  EXPECT_EQ(too_long.varints({&v, 1}).error().message(), "varint too long");
+  ByteReader open(ten_open);
+  EXPECT_EQ(open.varints({&v, 1}).error().message(),
+            "buffer underflow reading varint");
+
+  // Random byte soup.
+  Rng rng(77);
+  for (int trial = 0; trial < 2000; ++trial) {
+    Bytes data(rng.next_below(40));
+    for (std::uint8_t& b : data) {
+      // Bias towards continuation bytes so long varints show up.
+      const std::uint64_t high = rng.next_below(4) != 0 ? 0x80 : 0;
+      b = static_cast<std::uint8_t>(rng.next_u64() | high);
+    }
+    expect_bulk_read_matches(data, 1 + rng.next_below(6));
+  }
 }
 
 TEST(BufferPool, FirstAcquireIsAMiss) {

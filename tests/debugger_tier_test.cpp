@@ -5,9 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "analysis/consistency.hpp"
@@ -15,29 +13,8 @@
 #include "debugger/harness.hpp"
 #include "net/fault_plan.hpp"
 #include "obs/metrics.hpp"
+#include "tests/alloc_counter.hpp"
 #include "workload/behaviors.hpp"
-
-// Replacing operator new is binary-wide, so keep the hooks trivial (same
-// pattern as clock_test.cpp): count every allocation so the convergecast
-// move-semantics tests can pin "no payload copies" as an allocation budget.
-namespace {
-std::atomic<std::size_t> g_allocation_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace ddbg {
 namespace {
@@ -257,7 +234,8 @@ TEST(DebuggerTier, HaltPathsWalkTheTier) {
   ASSERT_TRUE(wave.has_value());
   const Topology& t = harness.topology();
   const ProcessId root = harness.debugger_id();
-  for (const auto& [p, path] : wave->halt_paths) {
+  for (const auto& [p, snapshot] : wave->state.snapshots()) {
+    const std::vector<ProcessId>& path = snapshot.halt_path;
     ASSERT_FALSE(path.empty()) << to_string(p);
     EXPECT_EQ(path.front(), root) << to_string(p);
     // Everything on the path before the first user process is tier-side.
@@ -408,9 +386,9 @@ ProcessSnapshot heavy_snapshot(std::uint32_t pid) {
 TEST(GlobalStateMove, AddByRvalueDoesNotCopyPayloads) {
   GlobalState state{HaltId(1)};
   ProcessSnapshot snapshot = heavy_snapshot(3);
-  const std::size_t before = g_allocation_count.load();
+  const std::size_t before = testing::allocation_count();
   state.add(std::move(snapshot));
-  const std::size_t allocations = g_allocation_count.load() - before;
+  const std::size_t allocations = testing::allocation_count() - before;
   // One map node plus slack; the 128 payload buffers must move, not copy.
   EXPECT_LE(allocations, 4u) << "aggregation path is copying snapshots";
   EXPECT_EQ(state.at(ProcessId(3)).in_channels.size(), 8u);
@@ -419,9 +397,9 @@ TEST(GlobalStateMove, AddByRvalueDoesNotCopyPayloads) {
 TEST(GlobalStateMove, TakeAllMovesSnapshotsOut) {
   GlobalState state{HaltId(1)};
   for (std::uint32_t p = 0; p < 4; ++p) state.add(heavy_snapshot(p));
-  const std::size_t before = g_allocation_count.load();
+  const std::size_t before = testing::allocation_count();
   std::vector<ProcessSnapshot> all = state.take_all();
-  const std::size_t allocations = g_allocation_count.load() - before;
+  const std::size_t allocations = testing::allocation_count() - before;
   // One vector allocation plus slack; 4 * 129 payload buffers must move.
   EXPECT_LE(allocations, 4u) << "take_all is copying snapshots";
   EXPECT_EQ(state.size(), 0u);

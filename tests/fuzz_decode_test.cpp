@@ -240,7 +240,7 @@ namespace framing_test {
 Bytes make_frame(const Bytes& body) {
   Bytes frame;
   const std::size_t header_at = begin_frame(frame);
-  frame.insert(frame.end(), body.begin(), body.end());
+  for (const std::uint8_t b : body) frame.push_back(b);
   end_frame(frame, header_at);
   return frame;
 }
@@ -550,7 +550,7 @@ TEST(ReplayLogBoundary, NonCanonicalVarintInRecordHandledCleanly) {
   {
     Bytes body;
     body.push_back(static_cast<std::uint8_t>(ReplayRecordKind::kTimerFire));
-    body.insert(body.end(), 9, 0xff);  // process varint: overflowing u64
+    for (int i = 0; i < 9; ++i) body.push_back(0xff);  // overflowing u64
     body.push_back(0x7f);
     auto result =
         ReplayLog::decode(replay_log_test::log_with_record_frame(body));

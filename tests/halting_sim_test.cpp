@@ -91,6 +91,41 @@ TEST(HaltingSim, RecordingDoesNotStopExecution) {
   EXPECT_FALSE(harness.shim(ProcessId(0)).halted());
 }
 
+// Two recording waves started back to back: each process meets the newer
+// wave's marker while its recording of the older one may still wait for
+// markers.  It abandons the older recording and records the newer wave,
+// which completes with a consistent cut.
+TEST(HaltingSim, NewerRecordingWaveSupersedesAnOpenOne) {
+  SimDebugHarness harness(Topology::ring(4), make_gossip(4, GossipConfig{}),
+                          config_with(31));
+  harness.sim().run_for(Duration::millis(30));
+  std::uint64_t first = 0;
+  std::uint64_t second = 0;
+  harness.sim().post(harness.debugger_id(),
+                     [&](ProcessContext& ctx, Process&) {
+                       first = harness.debugger().initiate_snapshot(ctx);
+                       second = harness.debugger().initiate_snapshot(ctx);
+                     });
+  DebuggerProcess& debugger = harness.debugger();
+  ASSERT_TRUE(harness.sim().run_until_condition(
+      [&] { return second != 0 && debugger.snapshot_complete(second); },
+      harness.sim().now() + kWait));
+  EXPECT_LT(first, second);
+  const auto wave = debugger.snapshot_wave(second);
+  ASSERT_TRUE(wave.has_value());
+  EXPECT_TRUE(wave->complete);
+  EXPECT_EQ(wave->state.size(), 4u);
+  EXPECT_TRUE(consistent_cut(wave->state));
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(harness.shim(ProcessId(i)).snapshot_engine().last_snapshot_id(),
+              second);
+    EXPECT_FALSE(harness.shim(ProcessId(i)).snapshot_engine().recording());
+  }
+  // The processes kept running throughout.
+  harness.sim().run_for(Duration::millis(20));
+  EXPECT_FALSE(harness.shim(ProcessId(0)).halted());
+}
+
 TEST(HaltingSim, SimpleBreakpointHaltsAtEvent) {
   TokenRingConfig ring_config;
   ring_config.rounds = 100;
@@ -121,9 +156,10 @@ TEST(HaltingSim, SpontaneousInitiatorHasEmptyHaltPath) {
   ASSERT_TRUE(wave.has_value());
   // The initiator p1 halted spontaneously: no marker path.  Everyone else
   // halted on a marker whose path begins at p1.
-  EXPECT_TRUE(wave->halt_paths.at(ProcessId(1)).empty());
+  const auto& snapshots = wave->state.snapshots();
+  EXPECT_TRUE(snapshots.at(ProcessId(1)).halt_path.empty());
   for (const ProcessId p : {ProcessId(0), ProcessId(2), ProcessId(3)}) {
-    const auto& path = wave->halt_paths.at(p);
+    const auto& path = snapshots.at(p).halt_path;
     ASSERT_FALSE(path.empty()) << to_string(p);
     EXPECT_EQ(path.front(), ProcessId(1)) << to_string(p);
   }
@@ -513,7 +549,8 @@ TEST(HaltingSim, HaltOrderPathsGrowAlongRing) {
   ASSERT_TRUE(wave.has_value());
   // Every user process halted on a marker that started at the debugger.
   const ProcessId d = harness.debugger_id();
-  for (const auto& [p, path] : wave->halt_paths) {
+  for (const auto& [p, snapshot] : wave->state.snapshots()) {
+    const std::vector<ProcessId>& path = snapshot.halt_path;
     ASSERT_FALSE(path.empty()) << to_string(p);
     EXPECT_EQ(path.front(), d) << to_string(p);
   }

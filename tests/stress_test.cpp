@@ -41,7 +41,7 @@ TEST(Stress, EveryProcessInitiatesSimultaneously) {
     for (std::uint32_t i = 0; i < 5; ++i) {
       EXPECT_EQ(harness.shim(ProcessId(i)).halting().last_halt_id(), 1u);
       // Everyone initiated: every halt path is empty.
-      EXPECT_TRUE(wave->halt_paths.at(ProcessId(i)).empty());
+      EXPECT_TRUE(wave->state.snapshots().at(ProcessId(i)).halt_path.empty());
     }
   }
 }
@@ -81,7 +81,7 @@ TEST(Stress, BreakpointStorm) {
   for (std::uint32_t p = 0; p < 4; ++p) {
     for (const char* expr : {"sent", "recv"}) {
       auto bp = harness.session().set_breakpoint(
-          "p" + std::to_string(p) + ":" + expr);
+          to_string(ProcessId(p)) + ":" + expr);
       ASSERT_TRUE(bp.ok());
       ids.push_back(bp.value());
     }
