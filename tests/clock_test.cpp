@@ -187,8 +187,9 @@ TEST(VectorClock, DecodeRejectsWhatThePerEntryDecodeRejected) {
         Bytes(full.begin(), full.begin() + static_cast<std::ptrdiff_t>(cut)));
   }
   // A count larger than the bytes that follow.
-  expect_decode_matches_reference(Bytes{0x05, 0x01, 0x02});
-  ByteReader huge_count(Bytes{0x05, 0x01, 0x02});
+  const Bytes short_body{0x05, 0x01, 0x02};
+  expect_decode_matches_reference(short_body);
+  ByteReader huge_count(short_body);
   EXPECT_EQ(VectorClock::decode(huge_count).error().message(),
             "count exceeds buffer");
   // Overlong and non-canonical entries.
