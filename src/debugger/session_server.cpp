@@ -29,10 +29,6 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
-std::string process_name(ProcessId p) {
-  return prefixed_id('p', p.value());
-}
-
 std::string describe_wave(const DebuggerProcess::WaveInfo& wave,
                           const char* what) {
   std::string out = what;
@@ -236,8 +232,7 @@ SessionResponse SessionServer::handle(Client& client,
   switch (request.op) {
     case SessionOp::kHello: {
       std::string banner = "ddbg session " + std::to_string(client.id) +
-                           ": attached to debugger " +
-                           process_name(debugger_id_);
+                           ": attached to debugger " + to_string(debugger_id_);
       if (!request.text.empty()) banner += " (client " + request.text + ")";
       return SessionResponse::success(
           request.req_id, std::move(banner),
@@ -344,13 +339,13 @@ SessionResponse SessionServer::handle(Client& client,
         return SessionResponse::failure(
             request.req_id,
             Error(ErrorCode::kTimeout,
-                  process_name(target) + " did not report state within " +
+                  to_string(target) + " did not report state within " +
                       std::to_string(timeout.ns / 1'000'000) + "ms"));
       }
       ByteWriter writer;
       snapshot->encode(writer);
       return SessionResponse::success(
-          request.req_id, process_name(target) + ": " + snapshot->description,
+          request.req_id, to_string(target) + ": " + snapshot->description,
           request.number, std::move(writer).take());
     }
     case SessionOp::kDeadlock: {
@@ -376,7 +371,7 @@ SessionResponse SessionServer::handle(Client& client,
       if (r.deadlocked) {
         text = "DEADLOCK: cycle";
         for (const ProcessId p : r.cycle) {
-          text += " -> " + process_name(p);
+          text += " -> " + to_string(p);
         }
       } else {
         text = "no deadlock: " + std::to_string(r.blocked_processes) +
@@ -392,7 +387,7 @@ SessionResponse SessionServer::handle(Client& client,
       for (const auto& hit : hits) {
         if (!text.empty()) text += '\n';
         text += "bp " + std::to_string(hit.breakpoint.value()) + " at " +
-                process_name(hit.process) + ": " + hit.description;
+                to_string(hit.process) + ": " + hit.description;
       }
       if (text.empty()) text = "no breakpoint hits";
       return SessionResponse::success(

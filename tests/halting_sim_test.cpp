@@ -94,7 +94,8 @@ TEST(HaltingSim, RecordingDoesNotStopExecution) {
 // Two recording waves started back to back: each process meets the newer
 // wave's marker while its recording of the older one may still wait for
 // markers.  It abandons the older recording and records the newer wave,
-// which completes with a consistent cut.
+// which completes with a consistent cut.  The superseded wave never
+// completes: a process that abandoned it never reports it.
 TEST(HaltingSim, NewerRecordingWaveSupersedesAnOpenOne) {
   SimDebugHarness harness(Topology::ring(4), make_gossip(4, GossipConfig{}),
                           config_with(31));
@@ -124,6 +125,10 @@ TEST(HaltingSim, NewerRecordingWaveSupersedesAnOpenOne) {
   // The processes kept running throughout.
   harness.sim().run_for(Duration::millis(20));
   EXPECT_FALSE(harness.shim(ProcessId(0)).halted());
+  EXPECT_FALSE(debugger.snapshot_complete(first));
+  const auto superseded = debugger.snapshot_wave(first);
+  ASSERT_TRUE(superseded.has_value());
+  EXPECT_LT(superseded->state.size(), 4u);
 }
 
 TEST(HaltingSim, SimpleBreakpointHaltsAtEvent) {
